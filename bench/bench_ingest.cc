@@ -308,14 +308,13 @@ void Run() {
     SessionJournalConfig journal_config;
     journal_config.path = journal_dir + "/sessions.journal";
     journal_config.fsync_commits = false;
-    journal_config.compact_threshold_bytes = 0;  // keep every record: replay cost, not compaction
     {
       SessionJournal journal(journal_config);
       BenchCheck(journal.Open(), "journal.Open");
       for (uint64_t s = 1; s <= sessions; ++s) {
-        BenchCheck(journal.AppendCommit(s, /*watermark_after=*/1, /*seq=*/0), "journal.AppendCommit");
+        BenchCheck(journal.Append({SessionOp::kCommit, s, /*seq=*/0}), "journal.Append");
       }
-      BenchCheck(journal.SyncUpTo(sessions), "journal.SyncUpTo");
+      BenchCheck(journal.Sync(), "journal.Sync");
     }
     SessionJournal reopened(journal_config);
     t0 = std::chrono::steady_clock::now();

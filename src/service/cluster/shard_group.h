@@ -45,8 +45,8 @@ class ShardGroup {
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
 
-  // Opens (or crash-recovers) the spool + session journal, binds the
-  // server's AckRegistry to the journal, and starts the worker pool and
+  // Opens (or crash-recovers) the spool, WAL and session journal, binds
+  // the server's AckRegistry to the WAL, and starts the worker pool and
   // the optional TCP listener.  Install routing hooks (Router::Start)
   // before serving clients.
   Status Start();

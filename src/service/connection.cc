@@ -284,107 +284,39 @@ void AckRegistry::EvictForAdmissionLocked() {
     tombstones_[victim_id] = floor;
     sessions_.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (wal_ != nullptr) {
-      // Unified-WAL mode: the eviction rides the report log so it stays
-      // totally ordered with the commits it supersedes (a journal-side
-      // evict could otherwise be replayed before WAL commits that the log
-      // ordered after it).  Same no-fsync-barrier policy as below.
-      if (!wal_->AppendEvict(victim_id, floor).ok()) {
-        journal_append_failures_.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else if (journal_ != nullptr) {
-      // Checkpoint the watermark in one record; the sparse set is dropped.
-      // No fsync barrier here: if the record is lost in a crash, replay
-      // reconstructs the session from its commit records as live — strictly
-      // safer than expired.
-      if (!journal_->AppendEvict(victim_id, floor).ok()) {
-        journal_append_failures_.fetch_add(1, std::memory_order_relaxed);
-      }
+    // Checkpoint the watermark in one record; the sparse set is dropped.
+    // The record rides the report log, totally ordered with the commits it
+    // supersedes.  No fsync barrier here: if the record is lost in a crash,
+    // replay reconstructs the session from its commit records as live —
+    // strictly safer than expired.
+    if (wal_ != nullptr && !wal_->AppendEvict(victim_id, floor).ok()) {
+      session_record_failures_.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-}
-
-void AckRegistry::JournalCommit(uint64_t session_id, uint64_t watermark_after, uint64_t seq) {
-  if (wal_ != nullptr) {
-    // Unified-WAL mode: the commit was part of the report's own WAL record
-    // and became durable in the group commit whose completion triggered
-    // this Commit — appending it again here would only duplicate it.  The
-    // journal copy is written by WAL checkpoints, which also drive
-    // compaction via CompactJournalIfNeeded.
-    return;
-  }
-  if (journal_ == nullptr) {
-    return;
-  }
-  auto lsn = journal_->AppendCommit(session_id, watermark_after, seq);
-  if (!lsn.ok() || !journal_->SyncUpTo(lsn.value()).ok()) {
-    // Degraded mode: the report is already durably spooled, so the ACK must
-    // still go out — NACKing would guarantee a duplicate ingest on retry.
-    // What is lost is only the cross-restart dedup promise for this seq,
-    // and only if the ack ALSO fails to reach the client before a crash.
-    journal_append_failures_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  MaybeCompact();
-}
-
-void AckRegistry::MaybeCompact() {
-  if (journal_ == nullptr || journal_->compact_threshold_bytes() == 0 ||
-      journal_->appended_bytes() < journal_->compact_threshold_bytes()) {
-    return;
-  }
-  // Snapshot under mu_ and compact while still holding it: any commit that
-  // updated memory before this point is inside the snapshot, and any append
-  // racing the rewrite lands in the new log on top of it (replay is
-  // idempotent), so no acknowledged state can fall between the two files.
-  MutexLock lock(mu_);
-  if (journal_->appended_bytes() < journal_->compact_threshold_bytes()) {
-    return;  // another committer compacted while we waited
-  }
-  std::vector<SessionSnapshot> live;
-  live.reserve(sessions_.size());
-  for (const auto& [id, session] : sessions_) {
-    SessionSnapshot snapshot;
-    snapshot.session_id = id;
-    snapshot.watermark = session.contiguous;
-    snapshot.sparse.assign(session.sparse.begin(), session.sparse.end());
-    live.push_back(std::move(snapshot));
-  }
-  std::vector<std::pair<uint64_t, uint64_t>> evicted(tombstones_.begin(), tombstones_.end());
-  if (!journal_->Compact(live, evicted).ok()) {
-    journal_append_failures_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void AckRegistry::Commit(uint64_t session_id, uint64_t seq) {
-  uint64_t watermark_after = 0;
-  {
-    MutexLock lock(mu_);
-    auto it = sessions_.find(session_id);
-    if (it == sessions_.end()) {
-      // The session vanished between the claim and the commit — a goodbye
-      // raced the in-flight ingest.  Recreating it here would leave a ghost
-      // session the client never hears about; the report itself is safely
-      // spooled either way.
-      return;
-    }
-    SessionState& session = it->second;
-    session.pending.erase(seq);
-    session.sparse.insert(seq);
-    // Advance the watermark over any now-contiguous prefix, keeping the
-    // sparse set bounded by the out-of-order window.  The advance saturates
-    // at UINT64_MAX — seq UINT64_MAX itself stays in the sparse set — so
-    // the watermark can never wrap back to 0 and forget the session.
-    while (!session.sparse.empty() && *session.sparse.begin() == session.contiguous &&
-           session.contiguous != UINT64_MAX) {
-      session.sparse.erase(session.sparse.begin());
-      session.contiguous++;
-    }
-    watermark_after = session.contiguous;
+  MutexLock lock(mu_);
+  auto it = sessions_.find(session_id);
+  if (it == sessions_.end()) {
+    // The session vanished between the claim and the commit — a goodbye
+    // raced the in-flight ingest.  Recreating it here would leave a ghost
+    // session the client never hears about; the report itself is safely
+    // logged either way.
+    return;
   }
-  // Journal outside mu_: the append is serialized by the journal's own lock
-  // and the group-commit fsync must not stall other sessions' bookkeeping.
-  JournalCommit(session_id, watermark_after, seq);
+  SessionState& session = it->second;
+  session.pending.erase(seq);
+  session.sparse.insert(seq);
+  // Advance the watermark over any now-contiguous prefix, keeping the
+  // sparse set bounded by the out-of-order window.  The advance saturates
+  // at UINT64_MAX — seq UINT64_MAX itself stays in the sparse set — so
+  // the watermark can never wrap back to 0 and forget the session.
+  while (!session.sparse.empty() && *session.sparse.begin() == session.contiguous &&
+         session.contiguous != UINT64_MAX) {
+    session.sparse.erase(session.sparse.begin());
+    session.contiguous++;
+  }
 }
 
 void AckRegistry::Release(uint64_t session_id, uint64_t seq) {
@@ -401,19 +333,10 @@ void AckRegistry::Terminate(uint64_t session_id) {
     sessions_.erase(session_id);
     tombstones_.erase(session_id);
   }
-  if (wal_ != nullptr) {
-    // The goodbye must be totally ordered after every commit this session's
-    // reports logged, which only the unified log can promise; the barrier
-    // mirrors the journal path's fsynced goodbye.
-    auto lsn = wal_->AppendGoodbye(session_id);
-    if (!lsn.ok() || !wal_->SyncUpTo(lsn.value()).ok()) {
-      journal_append_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else if (journal_ != nullptr) {
-    auto lsn = journal_->AppendGoodbye(session_id);
-    if (!lsn.ok() || !journal_->SyncUpTo(lsn.value()).ok()) {
-      journal_append_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
+  // The goodbye is totally ordered after every commit this session's
+  // reports logged, and durable before its ACK goes out.
+  if (wal_ != nullptr && !wal_->AppendGoodbye(session_id).ok()) {
+    session_record_failures_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -422,17 +345,10 @@ void AckRegistry::set_max_sessions(size_t max_sessions) {
   max_sessions_ = max_sessions;
 }
 
-void AckRegistry::AttachJournal(SessionJournal* journal) {
-  MutexLock lock(mu_);
-  journal_ = journal;
-}
-
 void AckRegistry::AttachWal(IngestWal* wal) {
   MutexLock lock(mu_);
   wal_ = wal;
 }
-
-void AckRegistry::CompactJournalIfNeeded() { MaybeCompact(); }
 
 void AckRegistry::RestoreFromRecovery(const JournalRecovery& recovery) {
   MutexLock lock(mu_);
@@ -446,6 +362,21 @@ void AckRegistry::RestoreFromRecovery(const JournalRecovery& recovery) {
   for (const auto& [session_id, floor] : recovery.evicted) {
     tombstones_[session_id] = floor;
   }
+}
+
+JournalRecovery AckRegistry::Snapshot() const {
+  MutexLock lock(mu_);
+  JournalRecovery image;
+  image.live.reserve(sessions_.size());
+  for (const auto& [id, session] : sessions_) {
+    SessionSnapshot snapshot;
+    snapshot.session_id = id;
+    snapshot.watermark = session.contiguous;
+    snapshot.sparse.assign(session.sparse.begin(), session.sparse.end());
+    image.live.push_back(std::move(snapshot));
+  }
+  image.evicted.assign(tombstones_.begin(), tombstones_.end());
+  return image;
 }
 
 bool AckRegistry::IsDurable(uint64_t session_id, uint64_t seq) const {
@@ -468,8 +399,8 @@ uint64_t AckRegistry::evictions() const {
   return evictions_.load(std::memory_order_relaxed);
 }
 
-uint64_t AckRegistry::journal_append_failures() const {
-  return journal_append_failures_.load(std::memory_order_relaxed);
+uint64_t AckRegistry::session_record_failures() const {
+  return session_record_failures_.load(std::memory_order_relaxed);
 }
 
 // ------------------------------------------------------------ FrameConnection

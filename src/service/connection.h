@@ -122,33 +122,19 @@ Result<std::unique_ptr<ByteStream>> TcpConnect(const std::string& address, uint1
 // session's durable-but-unacked reports come back under a fresh session and
 // ingest again, so the cap should comfortably exceed the live client count.
 //
-// With a SessionJournal attached, every state change that an ACK promises
-// (commit, evict, goodbye) is journaled — and Commit group-commit-fsyncs —
-// before the caller acknowledges, so a restarted server re-ACKs duplicates
-// instead of re-ingesting them.
-//
-// Journal-only mode (no WAL) has two honest weaknesses.  First, the spool
-// append and the commit append are separate syscalls, so a crash between
-// them leaves a durable report with no commit record and the client's
-// replay re-ingests it.  Second, a journal append failure degrades rather
-// than blocks: the commit stands in memory, the ACK still goes out (the
-// report IS durably spooled; NACKing it would guarantee a duplicate), and
-// journal_append_failures() records that cross-restart dedup for that seq
-// is no longer promised.
-//
-// With an IngestWal attached (AttachWal), both weaknesses vanish by
-// construction: the report and its (session, seq) commit are ONE record in
-// ONE log, appended and fsynced atomically by the WAL's group commit, and
-// the ACK fires from that commit's completion.  There is no residual
-// window — a crash either kept both or lost both, and replay resolves
-// either way without a duplicate.  And there is no degraded ack mode on
-// this path: a failed group commit rolls the report back along with its
+// Durability comes from an attached IngestWal (AttachWal; without one the
+// registry is memory-only).  The report and its (session, seq) commit are
+// ONE record in ONE log, appended and fsynced atomically by the WAL's group
+// commit, and the ACK fires from that commit's completion — which is when
+// Commit() runs, so Commit() itself writes nothing.  A crash either kept
+// both halves or lost both, and replay resolves either way without a
+// duplicate.  A failed group commit rolls the report back along with its
 // commit, so the completion carries the error and the client is NACKed
-// kRetryable — "commit lost" now always implies "report lost", which is
-// exactly what makes the NACK safe to retry.  Commit() therefore skips the
-// per-commit journal append entirely (the journal copy is written by WAL
-// checkpoints); evictions and goodbyes also route through the WAL so every
-// session-state mutation stays totally ordered with the report stream.
+// kRetryable: "commit lost" always implies "report lost", which is exactly
+// what makes the NACK safe to retry.  Evictions and goodbyes append their
+// own WAL records, so every session-state mutation stays totally ordered
+// with the report stream.  WAL checkpoints write the records through to the
+// session journal, which the frontend compacts from Snapshot().
 class AckRegistry {
  public:
   enum class Claim {
@@ -166,7 +152,7 @@ class AckRegistry {
   void Commit(uint64_t session_id, uint64_t seq);
   void Release(uint64_t session_id, uint64_t seq);
 
-  // The kGoodbye handshake: journals the termination and drops the
+  // The kGoodbye handshake: logs the termination and drops the
   // session's entire state — watermark, sparse set, tombstone, everything.
   // Idempotent; unknown sessions are a no-op (the ACK still goes out).
   void Terminate(uint64_t session_id);
@@ -175,28 +161,21 @@ class AckRegistry {
   // does not evict retroactively.
   void set_max_sessions(size_t max_sessions);
 
-  // Durable dedup plumbing (see the class comment).  AttachJournal borrows;
-  // RestoreFromRecovery seeds sessions and tombstones from a replayed
-  // journal — call both before serving connections.
-  void AttachJournal(SessionJournal* journal);
-  // Unified-WAL mode (see the class comment): commits ride the report's own
-  // WAL record, evictions/goodbyes append to the WAL instead of the
-  // journal.  Attach after AttachJournal, before serving connections.
+  // Durable dedup plumbing (see the class comment).  AttachWal borrows;
+  // RestoreFromRecovery seeds sessions and tombstones from the recovered
+  // journal + WAL image — call both before serving connections.
   void AttachWal(IngestWal* wal);
   void RestoreFromRecovery(const JournalRecovery& recovery);
-
-  // Compacts the session journal if its append backlog crossed the
-  // threshold.  Public for the WAL's post-checkpoint hook: in WAL mode the
-  // per-commit append path (which used to piggyback compaction) no longer
-  // touches the journal, so checkpoints — which DO write journal records —
-  // drive compaction instead.
-  void CompactJournalIfNeeded();
+  // The inverse of RestoreFromRecovery: every live session's durable state
+  // plus the tombstones, as one consistent image (journal compaction).
+  JournalRecovery Snapshot() const;
 
   bool IsDurable(uint64_t session_id, uint64_t seq) const;
   size_t sessions() const;
   size_t tombstones() const;
   uint64_t evictions() const;
-  uint64_t journal_append_failures() const;
+  // Evict/goodbye records the WAL refused or failed to make durable.
+  uint64_t session_record_failures() const;
 
  private:
   struct SessionState {
@@ -211,13 +190,8 @@ class AckRegistry {
   };
 
   // Evicts idle sessions (empty pending) in LRU order until the map fits
-  // the cap, journaling each eviction's watermark floor.
+  // the cap, logging each eviction's watermark floor.
   void EvictForAdmissionLocked() REQUIRES(mu_);
-  // Journals + group-commits one record outside mu_; failures degrade into
-  // journal_append_failures_.
-  void JournalCommit(uint64_t session_id, uint64_t watermark_after, uint64_t seq)
-      EXCLUDES(mu_);
-  void MaybeCompact() EXCLUDES(mu_);
 
   mutable Mutex mu_;
   std::unordered_map<uint64_t, SessionState> sessions_ GUARDED_BY(mu_);
@@ -228,13 +202,10 @@ class AckRegistry {
   size_t max_sessions_ GUARDED_BY(mu_) = 0;  // 0 = unbounded
   uint64_t lru_clock_ GUARDED_BY(mu_) = 0;
   // Borrowed; null = memory-only dedup.  Attached once before serving, then
-  // read from commit paths outside mu_ (the journal has its own locks).
-  SessionJournal* journal_ = nullptr;
-  // Borrowed; non-null switches to unified-WAL mode (same attach-once
-  // discipline as journal_).
+  // read from paths outside mu_ (the WAL has its own locks).
   IngestWal* wal_ = nullptr;
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> journal_append_failures_{0};
+  std::atomic<uint64_t> session_record_failures_{0};
 };
 
 // One connection's acknowledgment ledger.  The balance invariant the

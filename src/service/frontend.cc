@@ -69,29 +69,28 @@ Status ShufflerFrontend::Start() {
   if (started_) {
     return Status::Ok();
   }
-  std::vector<SessionOp> wal_session_ops;
   if (spool_ != nullptr) {
-    if (config_.use_wal) {
-      // WAL recovery phase 1 runs BEFORE the spool opens: it rolls unsealed
-      // segments back to their checkpointed sizes and replays the
-      // un-checkpointed generations' report records into the segment files,
-      // so the spool's own recovery below counts them like any other
-      // durable frame.
-      IngestWalConfig wal_config;
-      wal_config.dir = config_.spool_dir;
-      wal_config.fsync = config_.fsync_spool;
-      wal_config.checkpoint_threshold_bytes = config_.wal_checkpoint_threshold_bytes;
-      wal_config.fs = config_.fs;
-      wal_ = std::make_unique<IngestWal>(wal_config);
-      auto wal_recovery = wal_->RecoverBeforeSpoolOpen();
-      if (!wal_recovery.ok()) {
-        return wal_recovery.error();
-      }
-      wal_session_ops = std::move(wal_recovery.value().session_ops);
-      stats_.recovered_wal_reports += wal_recovery.value().replayed_reports;
-      stats_.recovered_wal_session_ops += wal_session_ops.size();
-      stats_.recovered_truncated_bytes += wal_recovery.value().truncated_bytes;
+    // WAL recovery phase 1 runs BEFORE the spool opens: it rolls unsealed
+    // segments back to their checkpointed sizes and replays the
+    // un-checkpointed generations' report records into the segment files,
+    // so the spool's own recovery below counts them like any other durable
+    // frame.
+    IngestWalConfig wal_config;
+    wal_config.dir = config_.spool_dir;
+    wal_config.fsync = config_.fsync_spool;
+    wal_config.checkpoint_threshold_bytes = config_.wal_checkpoint_threshold_bytes;
+    wal_config.fs = config_.fs;
+    wal_ = std::make_unique<IngestWal>(wal_config);
+    auto wal_recovery = wal_->RecoverBeforeSpoolOpen();
+    if (!wal_recovery.ok()) {
+      return wal_recovery.error();
     }
+    const std::vector<SessionOp> wal_session_ops =
+        std::move(wal_recovery.value().session_ops);
+    stats_.recovered_wal_reports += wal_recovery.value().replayed_reports;
+    stats_.recovered_wal_session_ops += wal_session_ops.size();
+    stats_.recovered_truncated_bytes += wal_recovery.value().truncated_bytes;
+
     auto recovery = spool_->Open();
     if (!recovery.ok()) {
       return recovery.error();
@@ -114,50 +113,34 @@ Status ShufflerFrontend::Start() {
     if (!replayed.ok()) {
       return replayed.error();
     }
-    journal_recovery_ = std::move(replayed).value();
 
-    if (wal_ != nullptr) {
-      // Re-journal the replayed session ops so the journal alone once again
-      // reconstructs session state, then merge them into the recovery image
-      // the AckRegistry will be seeded from.  Only after they are durable
-      // may FinishRecovery delete the generations that carried them.
-      uint64_t last_lsn = 0;
-      for (const SessionOp& op : wal_session_ops) {
-        Result<uint64_t> lsn = Error{"unreached"};
-        switch (op.kind) {
-          case SessionOp::kCommit:
-            lsn = journal_->AppendCommit(op.session_id, 0, op.value);
-            break;
-          case SessionOp::kEvict:
-            lsn = journal_->AppendEvict(op.session_id, op.value);
-            break;
-          case SessionOp::kGoodbye:
-            lsn = journal_->AppendGoodbye(op.session_id);
-            break;
-        }
-        if (!lsn.ok()) {
-          return lsn.error();
-        }
-        last_lsn = lsn.value();
+    // Re-journal the replayed session ops so the journal alone once again
+    // reconstructs session state, then merge them into the recovery image
+    // the AckRegistry will be seeded from.  Only after they are durable
+    // may FinishRecovery delete the generations that carried them.
+    for (const SessionOp& op : wal_session_ops) {
+      Status appended = journal_->Append(op);
+      if (!appended.ok()) {
+        return appended;
       }
-      if (last_lsn != 0) {
-        Status synced = journal_->SyncUpTo(last_lsn);
-        if (!synced.ok()) {
-          return synced;
-        }
-      }
-      journal_recovery_ = ApplySessionOps(std::move(journal_recovery_), wal_session_ops);
-      Status finished = wal_->FinishRecovery();
-      if (!finished.ok()) {
-        return finished;
-      }
-      wal_->AttachTargets(spool_.get(), journal_.get());
-      wal_->set_rollback_callback([this](size_t shard, uint64_t epoch) {
-        ingest_->RollbackAccepted(shard, epoch);
-        stats_.reports_accepted--;
-      });
-      ingest_->SetWal(wal_.get());
     }
+    if (!wal_session_ops.empty()) {
+      Status synced = journal_->Sync();
+      if (!synced.ok()) {
+        return synced;
+      }
+    }
+    journal_recovery_ = ApplySessionOps(std::move(replayed).value(), wal_session_ops);
+    Status finished = wal_->FinishRecovery();
+    if (!finished.ok()) {
+      return finished;
+    }
+    wal_->AttachTargets(spool_.get(), journal_.get());
+    wal_->set_rollback_callback([this](size_t shard, uint64_t epoch) {
+      ingest_->RollbackAccepted(shard, epoch);
+      stats_.reports_accepted--;
+    });
+    ingest_->SetWal(wal_.get());
     stats_.recovered_sessions += journal_recovery_.live.size();
     stats_.recovered_session_records += journal_recovery_.records;
   }
@@ -170,20 +153,31 @@ Status ShufflerFrontend::BindAckRegistry(AckRegistry* registry) {
     return Error{"frontend: Start() must succeed before BindAckRegistry"};
   }
   registry->set_max_sessions(config_.max_sessions);
-  if (journal_ != nullptr) {
-    // Restore before attach: replayed records must not be re-journaled.
+  if (wal_ != nullptr) {
+    // Restore before attach: replayed records must not be re-logged.
+    // Commits then ride the report's own WAL record, evictions and goodbyes
+    // their own WAL records; checkpoints write them through to the journal,
+    // and compaction follows on the checkpoint cadence.
     registry->RestoreFromRecovery(journal_recovery_);
-    registry->AttachJournal(journal_.get());
-    if (wal_ != nullptr) {
-      // Commits now ride the unified WAL record (the journal copy is
-      // written by checkpoints), and journal compaction piggybacks on the
-      // checkpoint cadence instead of the per-commit append path.
-      registry->AttachWal(wal_.get());
-      AckRegistry* bound = registry;
-      wal_->set_post_checkpoint_hook([bound] { bound->CompactJournalIfNeeded(); });
-    }
+    registry->AttachWal(wal_.get());
+    wal_->set_post_checkpoint_hook([this, registry] { CompactJournalIfNeeded(*registry); });
   }
   return Status::Ok();
+}
+
+void ShufflerFrontend::CompactJournalIfNeeded(const AckRegistry& registry) {
+  if (journal_->appended_bytes() < SessionJournal::kCompactThresholdBytes) {
+    return;
+  }
+  // The hook runs under the WAL's checkpoint lock, so no journal append can
+  // land between the snapshot and the rewrite.  The snapshot covers every
+  // journaled record (a record's registry update precedes its group
+  // commit's completion, which precedes the checkpoint that journaled it),
+  // and anything newer than the snapshot is still in the WAL suffix, which
+  // recovery replays on top.  A failed compaction leaves the old log
+  // authoritative; the next checkpoint retries it.
+  JournalRecovery image = registry.Snapshot();
+  (void)journal_->Compact(image.live, image.evicted);
 }
 
 Status ShufflerFrontend::AcceptFrameStream(ByteSpan stream) {
@@ -230,7 +224,7 @@ Status ShufflerFrontend::AcceptRoutedReportAsync(
     stats_.reports_accepted++;
   }
   if (done) {
-    // Not consumed by a WAL (non-WAL mode, or the append itself failed):
+    // Not consumed by a WAL (in-memory mode, or the append itself failed):
     // the accept was synchronous and `status` is the durability verdict.
     done(status);
   }
@@ -320,44 +314,15 @@ DrainReport ShufflerFrontend::DrainSealedEpochs() {
       EpochBatchRecordStream stream(*batch);
       run = pipeline_.RunReports(stream, epoch_rng, epoch_noise);
     }
-    if (run.ok() && config_.inject_drain_failure.has_value() &&
-        config_.inject_drain_failure->epoch == batch->epoch &&
-        injected_drain_failures_ < config_.inject_drain_failure->times) {
-      injected_drain_failures_++;
-      run = Error{"injected drain failure (epoch " + std::to_string(batch->epoch) + ")"};
-    }
-    if (!run.ok()) {
-      // Put the intact batch back at the head of the queue (in-memory mode
-      // holds the only copy of its reports), so a later DrainSealedEpochs
-      // retries it; spooled segments also stay on disk untouched.  The
-      // epochs already drained this call ride along in the report rather
-      // than being discarded with the error.
-      report.failure = DrainError{batch->epoch, run.error()};
-      ingest_->RequeueSealedEpoch(std::move(*batch));
+    Status finished = FinishDrain(std::move(*batch), run.ok() ? Status::Ok() : run.error(),
+                                  /*ran_pipeline=*/true);
+    if (!finished.ok()) {
+      // The epochs already drained this call ride along in the report
+      // rather than being discarded with the error.
+      report.failure = DrainError{epoch_result.epoch, finished.error()};
       return report;
     }
     epoch_result.result = std::move(run).value();
-    if (spool_ != nullptr && config_.remove_drained_epochs) {
-      // Transient unlink failures (a scanner pinning the directory, EMFILE
-      // pressure) usually clear quickly, and a leaked epoch replays as a
-      // duplicate after restart — worth a couple of bounded retries before
-      // conceding.  The spool keeps failed segments tracked, so each retry
-      // re-attempts exactly the files still on disk.
-      Status removed = spool_->RemoveEpoch(batch->epoch);
-      for (uint32_t attempt = 1; !removed.ok() && attempt < config_.remove_retry_attempts;
-           ++attempt) {
-        stats_.remove_retries++;
-        std::this_thread::sleep_for(config_.remove_retry_delay);
-        removed = spool_->RemoveEpoch(batch->epoch);
-      }
-      if (!removed.ok()) {
-        // The epoch's reports are safe (already drained into the result);
-        // what leaked is disk space plus a restart replaying the epoch as a
-        // duplicate.  Count it so operators see the leak.
-        stats_.remove_failures++;
-      }
-    }
-    stats_.epochs_drained++;
     report.results.push_back(std::move(epoch_result));
   }
   return report;
@@ -372,8 +337,11 @@ Result<std::optional<EpochPartialResult>> ShufflerFrontend::DrainNextEpochPartia
   out.epoch = batch->epoch;
   out.reports = batch->total;
 
-  if (batch->total > 0) {
-    Result<EpochPartial> run = Error{"epoch not drained"};
+  // An empty alignment epoch has nothing to run, but still leaves a marker
+  // and manifest for FinishDrain to remove.
+  Result<EpochPartial> run = EpochPartial{};
+  const bool ran_pipeline = batch->total > 0;
+  if (ran_pipeline) {
     if (spool_ != nullptr) {
       auto stream = spool_->OpenEpochStream(batch->epoch);
       run = pipeline_.RunReportsPartial(*stream);
@@ -383,36 +351,52 @@ Result<std::optional<EpochPartialResult>> ShufflerFrontend::DrainNextEpochPartia
       EpochBatchRecordStream stream(*batch);
       run = pipeline_.RunReportsPartial(stream);
     }
-    if (run.ok() && config_.inject_drain_failure.has_value() &&
-        config_.inject_drain_failure->epoch == batch->epoch &&
-        injected_drain_failures_ < config_.inject_drain_failure->times) {
-      injected_drain_failures_++;
-      run = Error{"injected drain failure (epoch " + std::to_string(batch->epoch) + ")"};
-    }
-    if (!run.ok()) {
-      Error error = run.error();
-      ingest_->RequeueSealedEpoch(std::move(*batch));
-      return error;
-    }
-    out.partial = std::move(run).value();
   }
+  Status finished =
+      FinishDrain(std::move(*batch), run.ok() ? Status::Ok() : run.error(), ran_pipeline);
+  if (!finished.ok()) {
+    return finished.error();
+  }
+  out.partial = std::move(run).value();
+  return std::optional<EpochPartialResult>(std::move(out));
+}
 
+Status ShufflerFrontend::FinishDrain(EpochBatch batch, Status run, bool ran_pipeline) {
+  if (ran_pipeline && run.ok() && config_.inject_drain_failure.has_value() &&
+      config_.inject_drain_failure->epoch == batch.epoch &&
+      injected_drain_failures_ < config_.inject_drain_failure->times) {
+    injected_drain_failures_++;
+    run = Error{"injected drain failure (epoch " + std::to_string(batch.epoch) + ")"};
+  }
+  if (!run.ok()) {
+    // Put the intact batch back at the head of the queue (in-memory mode
+    // holds the only copy of its reports), so a later drain retries it;
+    // spooled segments also stay on disk untouched.
+    ingest_->RequeueSealedEpoch(std::move(batch));
+    return run;
+  }
   if (spool_ != nullptr && config_.remove_drained_epochs) {
-    // Same bounded-retry cleanup as the serial drain (an empty alignment
-    // epoch still leaves a marker + manifest to remove).
-    Status removed = spool_->RemoveEpoch(batch->epoch);
+    // Transient unlink failures (a scanner pinning the directory, EMFILE
+    // pressure) usually clear quickly, and a leaked epoch replays as a
+    // duplicate after restart — worth a couple of bounded retries before
+    // conceding.  The spool keeps failed segments tracked, so each retry
+    // re-attempts exactly the files still on disk.
+    Status removed = spool_->RemoveEpoch(batch.epoch);
     for (uint32_t attempt = 1; !removed.ok() && attempt < config_.remove_retry_attempts;
          ++attempt) {
       stats_.remove_retries++;
       std::this_thread::sleep_for(config_.remove_retry_delay);
-      removed = spool_->RemoveEpoch(batch->epoch);
+      removed = spool_->RemoveEpoch(batch.epoch);
     }
     if (!removed.ok()) {
+      // The epoch's reports are safe (already drained into the result);
+      // what leaked is disk space plus a restart replaying the epoch as a
+      // duplicate.  Count it so operators see the leak.
       stats_.remove_failures++;
     }
   }
   stats_.epochs_drained++;
-  return std::optional<EpochPartialResult>(std::move(out));
+  return Status::Ok();
 }
 
 }  // namespace prochlo

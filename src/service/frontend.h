@@ -9,6 +9,10 @@
 //                      ShardedIngest (ingest.h: content-hash shards,
 //                          │   size/age epoch-cut policy)
 //                          ▼
+//                      IngestWal (wal.h: the one durable commit point;
+//                          │   checkpoints write reports through to the
+//                          │   spool and session ops to the journal)
+//                          ▼
 //                      Spool (spool.h: append-only per-(shard,epoch)
 //                          │   segments; epochs survive crashes)
 //                          ▼  epoch sealed
@@ -48,25 +52,22 @@ class AckRegistry;
 struct FrontendConfig {
   PipelineConfig pipeline;
   IngestConfig ingest;
-  // Directory for spool segments; empty = accumulate epochs in memory.
+  // Directory for spool segments, the ingest WAL and the session journal;
+  // empty = accumulate epochs in memory.  A spooled frontend ingests only
+  // through the group-commit WAL (wal.h), so "report durable" and
+  // "(session, seq) committed" are one atomic append.
   std::string spool_dir;
   bool fsync_spool = true;
-  // Spooled mode only: route reports (and their ack commits) through the
-  // unified group-commit WAL (wal.h), making "report durable" and
-  // "(session, seq) committed" one atomic append.  Off = the pre-WAL
-  // spool-then-journal path, which leaves the documented one-syscall
-  // atomicity window between the two appends (kept for comparison tests).
-  bool use_wal = true;
   // Checkpoint the WAL once its flushed-but-unapplied backlog exceeds this.
   uint64_t wal_checkpoint_threshold_bytes = 1ull << 20;
   // Delete an epoch's segments once drained (keep for audit if false).
   bool remove_drained_epochs = true;
   // Bound on live AckRegistry sessions when BindAckRegistry wires one up
   // (0 = unbounded).  Past the cap, the stalest idle session is LRU-evicted
-  // with its watermark checkpointed to the session journal.
+  // with its watermark logged as one evict record.
   size_t max_sessions = 0;
-  // Injectable filesystem seam shared by the spool and the session journal
-  // (disk-fault suites drive short writes / EIO / ENOSPC / crash-at-k
+  // Injectable filesystem seam shared by the spool, the WAL and the session
+  // journal (disk-fault suites drive short writes / EIO / ENOSPC / crash-at-k
   // through it).  Null = the real filesystem.
   Fs* fs = nullptr;
   // Post-drain RemoveEpoch failures are retried this many times total, with
@@ -185,20 +186,22 @@ class ShufflerFrontend {
   // Opens the spool (creating/recovering it) and readies ingestion.  After
   // a crash, sealed epochs re-enter the drain queue and the newest unsealed
   // epoch resumes accumulating exactly where its durable frames end.  With
-  // a spool_dir, also opens and replays <spool_dir>/sessions.journal — the
-  // durable half of the exactly-once dedup contract.
+  // a spool_dir, also replays the ingest WAL's un-checkpointed suffix and
+  // <spool_dir>/sessions.journal — the durable half of the exactly-once
+  // dedup contract.
   Status Start();
 
   // Wires an AckRegistry (typically FrameServer::registry()) to this
   // frontend's durable session state: applies config.max_sessions, seeds
   // the registry with the sessions recovered at Start(), and attaches the
-  // journal so commits/evictions/goodbyes are made durable before they are
-  // acknowledged.  Call after Start() and before serving connections.
+  // WAL so commits/evictions/goodbyes are logged before they are
+  // acknowledged.  WAL checkpoints then compact the journal from registry
+  // snapshots.  Call after Start() and before serving connections.
   Status BindAckRegistry(AckRegistry* registry);
 
   // The session journal, or null (in-memory mode / before Start).
   SessionJournal* session_journal() { return journal_.get(); }
-  // The ingest WAL, or null (in-memory mode / use_wal=false / before Start).
+  // The ingest WAL, or null (in-memory mode / before Start).
   IngestWal* wal() { return wal_.get(); }
 
   // Encoder bound to this frontend's pipeline keys, for clients.
@@ -220,9 +223,9 @@ class ShufflerFrontend {
   // one record; `done` fires exactly once — Ok after a group commit makes
   // the record durable, the flush error if a failed commit rolled it back
   // (in which case the report was NOT ingested and the accounting has been
-  // undone, so the client may retry without duplicating).  Without a WAL
-  // this is synchronous AcceptRoutedReport and `done` fires inline with
-  // the returned status.  An Ok return only means "buffered/accepted"; the
+  // undone, so the client may retry without duplicating).  In in-memory
+  // mode this is synchronous AcceptRoutedReport and `done` fires inline
+  // with the returned status.  An Ok return only means "buffered/accepted"; the
   // durability verdict is done's argument.
   Status AcceptRoutedReportAsync(size_t shard_index, Bytes sealed_report,
                                  ReportContext ctx,
@@ -230,7 +233,7 @@ class ShufflerFrontend {
 
   // Group-commit barrier: returns once every report buffered so far is
   // durable (and its completion has fired) — one fsync amortized across
-  // every waiter, per IngestWal::SyncUpTo.  No-op without a WAL (accepts
+  // every waiter by the WAL's group commit.  No-op without a WAL (accepts
   // were synchronous).
   Status BarrierIngest();
 
@@ -279,6 +282,16 @@ class ShufflerFrontend {
  private:
   SecureRandom EpochRng(uint64_t epoch) const;
   Rng EpochNoiseRng(uint64_t epoch) const;
+  // The epilogue both drains share.  `run` is the verdict of the epoch's
+  // pipeline run (Ok when there was nothing to run), which the
+  // inject_drain_failure hook may overturn when the pipeline did run.  On
+  // failure the intact batch is requeued and the error returned; on
+  // success the epoch's segments are removed (with bounded retries) and
+  // the drain is counted.
+  Status FinishDrain(EpochBatch batch, Status run, bool ran_pipeline);
+  // The WAL's post-checkpoint hook: rewrites the journal as a snapshot of
+  // `registry` once it crosses its compaction threshold.
+  void CompactJournalIfNeeded(const AckRegistry& registry);
 
   FrontendConfig config_;
   Pipeline pipeline_;
@@ -287,7 +300,7 @@ class ShufflerFrontend {
   std::unique_ptr<SessionJournal> journal_;  // null in in-memory mode
   // Declared after journal_/spool_ so it is destroyed first: the WAL's
   // destructor flushes its pending block, which may touch both.
-  std::unique_ptr<IngestWal> wal_;           // null unless spooled + use_wal
+  std::unique_ptr<IngestWal> wal_;           // null in in-memory mode
   JournalRecovery journal_recovery_;         // held for BindAckRegistry
   FrontendStats stats_;
   bool started_ = false;

@@ -51,21 +51,20 @@ Status ShardedIngest::AcceptToShard(size_t shard_index, Bytes sealed_report,
     ReaderMutexLock epoch_lock(epoch_mu_);
     Shard& shard = *shards_[shard_index];
     MutexLock shard_lock(shard.mu);
-    if (wal_ != nullptr) {
-      // Unified durability: the report AND its ack commit become one WAL
-      // record, so there is no window where one is durable without the
-      // other.  The WAL consumes *done on success (it fires after the next
-      // group commit); a failed append leaves it with the caller.
+    if (spool_ != nullptr) {
+      // The WAL is a spool's only durable path: the report AND its ack
+      // commit become one WAL record, so there is no window where one is
+      // durable without the other.  The WAL consumes *done on success (it
+      // fires after the next group commit); a failed append leaves it with
+      // the caller.
+      if (wal_ == nullptr) {
+        return Error{"ingest: spooled ingest has no WAL attached"};
+      }
       Result<uint64_t> lsn = wal_->AppendReport(
           shard_index, current_epoch_.load(), sealed_report, ctx.session_id,
           ctx.seq, done);
       if (!lsn.ok()) {
         return lsn.error();  // not buffered: the client may retry
-      }
-    } else if (spool_ != nullptr) {
-      Status status = spool_->Append(shard_index, current_epoch_.load(), sealed_report);
-      if (!status.ok()) {
-        return status;  // not ingested: the client may retry without duplicating
       }
     } else {
       shard.reports.push_back(std::move(sealed_report));

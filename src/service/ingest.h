@@ -76,7 +76,8 @@ struct EpochBatch {
 
 class ShardedIngest {
  public:
-  // `spool` is borrowed and may be null (pure in-memory accumulation).
+  // `spool` is borrowed and may be null (pure in-memory accumulation).  A
+  // spooled ingest accepts only through its WAL (see SetWal).
   ShardedIngest(IngestConfig config, Spool* spool);
 
   // Routes one sealed report to its shard; thread-safe.  May seal the
@@ -96,12 +97,11 @@ class ShardedIngest {
   // ShardOfReport(sealed_report, num_shards()).
   Status AcceptToShard(size_t shard_index, Bytes sealed_report);
 
-  // WAL-mode accept: the report (and, when ctx.session_id != 0, its ack
-  // commit) buffers into the WAL instead of writing the spool directly.  On
-  // success *done (may be null / empty) is consumed by the WAL and fires
-  // after the next group-commit barrier; on failure it is untouched and Ok
-  // means "accepted" exactly as in Accept.  Without an attached WAL this is
-  // plain AcceptToShard and *done stays with the caller.
+  // Acked accept: in spooled mode the report (and, when ctx.session_id !=
+  // 0, its ack commit) buffers into the WAL as one record.  On success
+  // *done (may be null / empty) is consumed by the WAL and fires after the
+  // next group-commit barrier; on failure it is untouched.  In in-memory
+  // mode this is plain AcceptToShard and *done stays with the caller.
   Status AcceptToShard(size_t shard_index, Bytes sealed_report, ReportContext ctx,
                        std::function<void(const Status&)>* done);
 
@@ -175,7 +175,7 @@ class ShardedIngest {
 
   IngestConfig config_;
   Spool* spool_;  // borrowed; may be null
-  IngestWal* wal_ = nullptr;  // borrowed; null = direct spool writes
+  IngestWal* wal_ = nullptr;  // borrowed; required once spool_ is set
 
   // Shared: Accept; exclusive: epoch transitions (cut, tick-cut, restore).
   mutable SharedMutex epoch_mu_;

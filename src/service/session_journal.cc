@@ -22,11 +22,13 @@ enum RecordKind : uint8_t {
   kSnapshotRecord = 4,
 };
 
-Bytes EncodeCommitRecord(uint64_t session_id, uint64_t watermark_after, uint64_t seq) {
+// watermark_after is written as 0: replay reconstructs the watermark from
+// the seq set (the field stays for logs that recorded it).
+Bytes EncodeCommitRecord(uint64_t session_id, uint64_t seq) {
   Writer w;
   w.PutU8(kCommitRecord);
   w.PutU64(session_id);
-  w.PutU64(watermark_after);
+  w.PutU64(0);
   w.PutU64(seq);
   return w.Take();
 }
@@ -44,6 +46,18 @@ Bytes EncodeGoodbyeRecord(uint64_t session_id) {
   w.PutU8(kGoodbyeRecord);
   w.PutU64(session_id);
   return w.Take();
+}
+
+Bytes EncodeSessionOp(const SessionOp& op) {
+  switch (op.kind) {
+    case SessionOp::kCommit:
+      return EncodeCommitRecord(op.session_id, op.value);
+    case SessionOp::kEvict:
+      return EncodeEvictRecord(op.session_id, op.value);
+    case SessionOp::kGoodbye:
+      return EncodeGoodbyeRecord(op.session_id);
+  }
+  return {};
 }
 
 Bytes EncodeSnapshotRecord(const SessionSnapshot& snapshot) {
@@ -143,6 +157,25 @@ void ApplyRecord(ByteSpan payload, std::map<uint64_t, ReplaySession>& sessions,
   }
 }
 
+// Re-derives the recovery image (live sessions + tombstones) from a replay
+// map.
+void ExportSessions(const std::map<uint64_t, ReplaySession>& sessions,
+                    JournalRecovery* recovery) {
+  recovery->live.clear();
+  recovery->evicted.clear();
+  for (const auto& [session_id, s] : sessions) {
+    if (s.evicted) {
+      recovery->evicted.emplace_back(session_id, s.floor);
+    } else {
+      SessionSnapshot snapshot;
+      snapshot.session_id = session_id;
+      snapshot.watermark = s.watermark;
+      snapshot.sparse.assign(s.sparse.begin(), s.sparse.end());
+      recovery->live.push_back(std::move(snapshot));
+    }
+  }
+}
+
 }  // namespace
 
 JournalRecovery ApplySessionOps(JournalRecovery base,
@@ -167,35 +200,9 @@ JournalRecovery ApplySessionOps(JournalRecovery base,
     sessions[session_id] = std::move(s);
   }
   for (const SessionOp& op : ops) {
-    Bytes payload;
-    switch (op.kind) {
-      case SessionOp::kCommit:
-        // watermark_after = 0: the sweep reconstructs the watermark from
-        // the seq set, exactly as it does for journaled commits.
-        payload = EncodeCommitRecord(op.session_id, 0, op.value);
-        break;
-      case SessionOp::kEvict:
-        payload = EncodeEvictRecord(op.session_id, op.value);
-        break;
-      case SessionOp::kGoodbye:
-        payload = EncodeGoodbyeRecord(op.session_id);
-        break;
-    }
-    ApplyRecord(payload, sessions, &base.records);
+    ApplyRecord(EncodeSessionOp(op), sessions, &base.records);
   }
-  base.live.clear();
-  base.evicted.clear();
-  for (auto& [session_id, s] : sessions) {
-    if (s.evicted) {
-      base.evicted.emplace_back(session_id, s.floor);
-    } else {
-      SessionSnapshot snapshot;
-      snapshot.session_id = session_id;
-      snapshot.watermark = s.watermark;
-      snapshot.sparse.assign(s.sparse.begin(), s.sparse.end());
-      base.live.push_back(std::move(snapshot));
-    }
-  }
+  ExportSessions(sessions, &base);
   return base;
 }
 
@@ -211,10 +218,6 @@ SessionJournal::~SessionJournal() {
 }
 
 Result<JournalRecovery> SessionJournal::Open() {
-  // Lock order is sync_mu_ > mu_ everywhere (SyncUpTo leader, Compact);
-  // Open runs before any appender exists, but keeps the same order so the
-  // lock graph stays acyclic.
-  MutexLock sync_lock(sync_mu_);
   MutexLock lock(mu_);
   if (fd_ >= 0) {
     return Error{"session journal: already open"};
@@ -253,17 +256,7 @@ Result<JournalRecovery> SessionJournal::Open() {
     }
   }
 
-  for (auto& [session_id, s] : sessions) {
-    if (s.evicted) {
-      recovery.evicted.emplace_back(session_id, s.floor);
-    } else {
-      SessionSnapshot snapshot;
-      snapshot.session_id = session_id;
-      snapshot.watermark = s.watermark;
-      snapshot.sparse.assign(s.sparse.begin(), s.sparse.end());
-      recovery.live.push_back(std::move(snapshot));
-    }
-  }
+  ExportSessions(sessions, &recovery);
 
   auto fd = fs_->Open(config_.path, O_CREAT | O_WRONLY | O_APPEND, 0644);
   if (!fd.ok()) {
@@ -271,8 +264,6 @@ Result<JournalRecovery> SessionJournal::Open() {
   }
   fd_ = fd.value();
   bytes_ = clean_end;
-  next_lsn_ = recovery.records + 1;
-  synced_lsn_ = recovery.records;  // recovered records are the baseline
   return recovery;
 }
 
@@ -291,89 +282,70 @@ Status SessionJournal::WriteAll(int fd, ByteSpan data) {
   return Status::Ok();
 }
 
-Result<uint64_t> SessionJournal::AppendRecord(ByteSpan payload) {
+Status SessionJournal::RepairTailLocked() {
+  Status truncated = fs_->Truncate(config_.path, bytes_);
+  if (!truncated.ok()) {
+    return truncated;
+  }
+  if (fd_ < 0) {
+    auto fd = fs_->Open(config_.path, O_CREAT | O_WRONLY | O_APPEND, 0644);
+    if (!fd.ok()) {
+      return fd.error();
+    }
+    fd_ = fd.value();
+  }
+  dirty_tail_ = false;
+  return Status::Ok();
+}
+
+Status SessionJournal::Append(const SessionOp& op) {
+  MutexLock lock(mu_);
+  if (dirty_tail_) {
+    // Garbage past bytes_ must go before a clean frame lands after it, or
+    // replay would stop at the garbage and lose the new record.
+    Status repaired = RepairTailLocked();
+    if (!repaired.ok()) {
+      return repaired;
+    }
+  }
+  if (fd_ < 0) {
+    return Error{"session journal: not open"};
+  }
+  Bytes frame;
+  AppendFrame(frame, EncodeSessionOp(op));
+  Status written = WriteAll(fd_, frame);
+  if (!written.ok()) {
+    // Roll the torn record back so the log stays a clean frame sequence; if
+    // even the truncate fails, the next append retries it first.
+    if (!fs_->Truncate(config_.path, bytes_).ok()) {
+      dirty_tail_ = true;
+    }
+    return written;
+  }
+  bytes_ += frame.size();
+  return Status::Ok();
+}
+
+Status SessionJournal::Sync() {
+  if (!config_.fsync_commits) {
+    return Status::Ok();  // buffered-write durability (process-kill safe)
+  }
   MutexLock lock(mu_);
   if (fd_ < 0) {
     return Error{"session journal: not open"};
   }
-  if (broken_) {
-    return Error{"session journal: wedged by an earlier unrollable append failure"};
-  }
-  Bytes frame;
-  AppendFrame(frame, payload);
-  Status written = WriteAll(fd_, frame);
-  if (!written.ok()) {
-    // Roll the torn record back so the log stays a clean frame sequence; if
-    // even the truncate fails the journal wedges and later appends fail
-    // fast (the ack path counts the degradation instead of blocking).
-    if (!fs_->Truncate(config_.path, bytes_).ok()) {
-      broken_ = true;
-    }
-    return written.error();
-  }
-  bytes_ += frame.size();
-  return next_lsn_++;
-}
-
-Result<uint64_t> SessionJournal::AppendCommit(uint64_t session_id, uint64_t watermark_after,
-                                              uint64_t seq) {
-  return AppendRecord(EncodeCommitRecord(session_id, watermark_after, seq));
-}
-
-Result<uint64_t> SessionJournal::AppendEvict(uint64_t session_id, uint64_t floor) {
-  return AppendRecord(EncodeEvictRecord(session_id, floor));
-}
-
-Result<uint64_t> SessionJournal::AppendGoodbye(uint64_t session_id) {
-  return AppendRecord(EncodeGoodbyeRecord(session_id));
-}
-
-Status SessionJournal::SyncUpTo(uint64_t lsn) {
-  if (!config_.fsync_commits) {
-    return Status::Ok();  // buffered-write durability (process-kill safe)
-  }
-  MutexLock lock(sync_mu_);
-  for (;;) {
-    if (synced_lsn_ >= lsn) {
-      return Status::Ok();
-    }
-    if (!sync_inflight_) {
-      // Become the leader: fsync once for every record that has landed,
-      // covering all the committers waiting behind us.
-      sync_inflight_ = true;
-      uint64_t target = 0;
-      int fd = -1;
-      {
-        MutexLock append_lock(mu_);
-        target = next_lsn_ - 1;
-        fd = fd_;
-      }
-      lock.Unlock();
-      Status synced = fd >= 0 ? fs_->Sync(fd) : Status(Error{"session journal: not open"});
-      lock.Lock();
-      sync_inflight_ = false;
-      if (synced.ok()) {
-        synced_lsn_ = std::max(synced_lsn_, target);
-      }
-      sync_cv_.NotifyAll();
-      if (!synced.ok()) {
-        return synced;
-      }
-      continue;  // re-check: our lsn is covered by the fsync we just led
-    }
-    sync_cv_.Wait(sync_mu_);
-  }
+  return fs_->Sync(fd_);
 }
 
 Status SessionJournal::Compact(const std::vector<SessionSnapshot>& live,
                                const std::vector<std::pair<uint64_t, uint64_t>>& evicted) {
-  // Quiesce the group-commit machinery, then the appenders: lock order is
-  // sync_mu_ > mu_, matching SyncUpTo's leader path.
-  MutexLock sync_lock(sync_mu_);
-  while (sync_inflight_) {
-    sync_cv_.Wait(sync_mu_);
-  }
   MutexLock lock(mu_);
+  if (dirty_tail_) {
+    Status repaired = RepairTailLocked();
+    if (!repaired.ok()) {
+      return repaired;
+    }
+  }
   if (fd_ < 0) {
     return Error{"session journal: not open"};
   }
@@ -414,14 +386,14 @@ Status SessionJournal::Compact(const std::vector<SessionSnapshot>& live,
   fs_->Close(fd_);
   fd_ = -1;
   auto fd = fs_->Open(config_.path, O_CREAT | O_WRONLY | O_APPEND, 0644);
+  bytes_ = contents.size();
   if (!fd.ok()) {
-    broken_ = true;  // snapshot is durable, but new appends have nowhere to go
+    // The snapshot is durable, but new appends have nowhere to go until the
+    // next append's repair reopens the log.
+    dirty_tail_ = true;
     return fd.error();
   }
   fd_ = fd.value();
-  bytes_ = contents.size();
-  broken_ = false;
-  synced_lsn_ = next_lsn_ - 1;  // everything up to now lives in the snapshot
   return Status::Ok();
 }
 

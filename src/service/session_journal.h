@@ -1,6 +1,7 @@
-// The durable half of the exactly-once retry contract: a group-committed,
-// CRC-framed journal of AckRegistry state changes, living inside the spool
-// directory.
+// The session-state snapshot behind the exactly-once retry contract: a
+// CRC-framed journal of AckRegistry state, living inside the spool
+// directory and derived from the ingest WAL (wal.h), which is the only
+// durable path for a session-state change.
 //
 //   <spool root>/sessions.journal        wire-v2 frames, one record each
 //   <spool root>/sessions.journal.new    in-progress compaction (stale copies
@@ -9,7 +10,9 @@
 // Each record is an ordinary wire frame (the same CRC framing as spool
 // segments) whose payload encodes one of:
 //
-//   commit   (session, watermark_after, seq)   a seq became durable
+//   commit   (session, watermark_after, seq)   a seq became durable (the
+//                                              watermark is re-derived
+//                                              from the seqs; writers put 0)
 //   evict    (session, floor)                  session LRU-evicted; its
 //                                              watermark compacted to one
 //                                              record, sparse state dropped
@@ -19,11 +22,14 @@
 //   snapshot (session, watermark, sparse[])    full per-session state, the
 //                                              unit of compaction rewrites
 //
-// Durability discipline mirrors the spool's segments: appends are buffered
-// writes; SyncUpTo is the group-commit barrier the ack path waits on (one
-// leader fsyncs on behalf of every committer that raced in — concurrent
-// ingest workers share one fsync); reopen scans with FrameReader and
-// truncates the torn tail at clean_prefix_end.  Compaction writes a full
+// Writers: the WAL checkpoint's write-through (commit/evict/goodbye records
+// of the checkpointed generations), the frontend's post-checkpoint
+// compaction, and startup recovery (re-journaling the WAL's replayed
+// suffix).  All three are serialized — checkpoints and their hook run under
+// the WAL's checkpoint lock, recovery before the WAL opens — so the journal
+// has no group commit of its own: appends are buffered writes, and one
+// Sync() per checkpoint makes them durable.  Reopen scans with FrameReader
+// and truncates the torn tail at clean_prefix_end.  Compaction writes a full
 // snapshot to `.new`, fsyncs it, and renames over the log — the rename is
 // the atomic commit point, so a crash mid-compaction leaves either the old
 // log (plus a stale `.new` that Open removes) or the new one, never a blend.
@@ -47,11 +53,9 @@ namespace prochlo {
 
 struct SessionJournalConfig {
   std::string path;  // the journal file; ".new" is appended for compaction
-  // Group-commit fsync before SyncUpTo returns (false = buffered writes
-  // only: survives a process kill, not a power loss — the benches' mode).
+  // Sync() and Compact() fsync (false = buffered writes only: survives a
+  // process kill, not a power loss — the benches' mode).
   bool fsync_commits = true;
-  // Rewrite the log as snapshots once it exceeds this many bytes (0 = never).
-  uint64_t compact_threshold_bytes = 1 << 20;
   Fs* fs = nullptr;  // injectable; null = Fs::Real()
 };
 
@@ -71,10 +75,10 @@ struct JournalRecovery {
   uint64_t truncated_bytes = 0;  // torn tail removed at the end of the log
 };
 
-// One session-state mutation replayed from the ingest WAL.  The WAL carries
+// One session-state mutation logged in the ingest WAL.  The WAL carries
 // commit/evict/goodbye records interleaved (and totally ordered) with report
-// appends; recovery re-journals them here and folds them into the journal's
-// recovery image via ApplySessionOps.
+// appends; checkpoints and recovery journal them here, and recovery also
+// folds them into the journal's recovery image via ApplySessionOps.
 struct SessionOp {
   enum Kind : uint8_t { kCommit = 1, kEvict = 2, kGoodbye = 3 };
   Kind kind = kCommit;
@@ -101,55 +105,45 @@ class SessionJournal {
   // torn tail) and opens it for appending.  Call once, before any append.
   Result<JournalRecovery> Open();
 
-  // Buffered appends; each returns the record's LSN — the token SyncUpTo
-  // makes durable.  A failed append leaves no partial record behind (the
-  // tail is truncated back; if even that fails the journal wedges and
-  // every later append fails fast, which the ack path degrades on).
-  Result<uint64_t> AppendCommit(uint64_t session_id, uint64_t watermark_after, uint64_t seq);
-  Result<uint64_t> AppendEvict(uint64_t session_id, uint64_t floor);
-  Result<uint64_t> AppendGoodbye(uint64_t session_id);
+  // Buffered append of one record.  A failed append leaves no partial
+  // record behind: the tail is truncated back, and if even that truncate
+  // fails the tail is marked dirty and the next append re-truncates before
+  // it writes.
+  Status Append(const SessionOp& op);
 
-  // Group-commit barrier: returns once every record up to `lsn` is fsync'd
-  // (immediately when fsync_commits is off).  Concurrent callers elect a
-  // leader; one fsync covers everyone whose record had landed by then.
-  Status SyncUpTo(uint64_t lsn);
+  // Makes every record appended so far durable (a no-op when fsync_commits
+  // is off).
+  Status Sync();
 
   // Atomically replaces the log with one snapshot record per live session
   // plus one evict record per tombstone.  Blocks appends for the duration.
   Status Compact(const std::vector<SessionSnapshot>& live,
                  const std::vector<std::pair<uint64_t, uint64_t>>& evicted);
 
-  // Current log size in bytes; the registry compacts when this crosses the
-  // configured threshold.
+  // Current log size in bytes; the frontend compacts the log into a
+  // snapshot once this reaches kCompactThresholdBytes.
   uint64_t appended_bytes() const;
-  uint64_t compact_threshold_bytes() const { return config_.compact_threshold_bytes; }
-  const std::string& path() const { return config_.path; }
+  static constexpr uint64_t kCompactThresholdBytes = 1 << 20;
 
  private:
-  Result<uint64_t> AppendRecord(ByteSpan payload);
   Status WriteAll(int fd, ByteSpan data);
+  // Undoes an earlier failed rollback: truncates the log back to bytes_ and
+  // reopens the append fd if Compact lost it.
+  Status RepairTailLocked() REQUIRES(mu_);
 
   SessionJournalConfig config_;
   Fs* fs_;  // borrowed (or the Real() singleton)
 
-  // mu_ serializes appends and guards the fd/byte counters; sync_mu_ runs
-  // the group-commit handshake.  A leader fsyncs with neither held, so
-  // appends keep landing while the device flushes.
-  //
-  // Lock order: sync_mu_ before mu_, everywhere (Open, the SyncUpTo leader,
-  // Compact).  PR 6's inversion — Open taking mu_ then sync_mu_ — is now a
-  // clang -Wthread-safety-beta compile error via ACQUIRED_AFTER, not just a
-  // TSan find.
-  mutable Mutex mu_ ACQUIRED_AFTER(sync_mu_);
+  // Serializes the writers (which are already serialized by their callers;
+  // see the file comment) and guards the fd and byte counter.
+  mutable Mutex mu_;
   int fd_ GUARDED_BY(mu_) = -1;
-  bool broken_ GUARDED_BY(mu_) = false;  // append failed, could not roll back
-  uint64_t bytes_ GUARDED_BY(mu_) = 0;   // current log size
-  uint64_t next_lsn_ GUARDED_BY(mu_) = 1;  // monotonic counter (survives compaction)
-
-  Mutex sync_mu_;
-  CondVar sync_cv_;
-  bool sync_inflight_ GUARDED_BY(sync_mu_) = false;
-  uint64_t synced_lsn_ GUARDED_BY(sync_mu_) = 0;
+  uint64_t bytes_ GUARDED_BY(mu_) = 0;  // current log size (clean prefix)
+  // A failed append whose rollback truncate also failed left garbage past
+  // bytes_, or a compaction could not reopen the log it just renamed into
+  // place.  The next append repairs the tail before writing anything (the
+  // WAL's dirty-tail rule), so the journal heals as soon as the disk does.
+  bool dirty_tail_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace prochlo

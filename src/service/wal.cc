@@ -552,11 +552,15 @@ Result<uint64_t> IngestWal::AppendEvict(uint64_t session_id, uint64_t floor) {
   return AppendLocked(record);
 }
 
-Result<uint64_t> IngestWal::AppendGoodbye(uint64_t session_id) {
+Status IngestWal::AppendGoodbye(uint64_t session_id) {
   PendingRecord record;
   record.kind = kWalGoodbye;
   record.session_id = session_id;
-  return AppendLocked(record);
+  auto lsn = AppendLocked(record);
+  if (!lsn.ok()) {
+    return lsn.error();
+  }
+  return SyncUpTo(lsn.value());
 }
 
 // ------------------------------------------------------------- group commit
@@ -871,7 +875,7 @@ Status IngestWal::Checkpoint() {
   };
   std::map<std::pair<uint64_t, uint64_t>, TouchedSegment> touched;
   Status applied = Status::Ok();
-  uint64_t journal_lsn = 0;
+  bool journaled = false;
   for (const FlushedRecord& r : batch) {
     switch (r.kind) {
       case kWalReport:
@@ -886,34 +890,20 @@ Status IngestWal::Checkpoint() {
           it->second.frames_added++;
           it->second.bytes_added += FrameWireSize(r.report.size());
           if (r.kind == kWalReportCommit) {
-            auto lsn = journal_->AppendCommit(r.session_id, 0, r.value);
-            if (lsn.ok()) {
-              journal_lsn = lsn.value();
-            } else {
-              applied = lsn.error();
-            }
+            applied = journal_->Append({SessionOp::kCommit, r.session_id, r.value});
+            journaled = true;
           }
         }
         break;
       }
-      case kWalEvict: {
-        auto lsn = journal_->AppendEvict(r.session_id, r.value);
-        if (lsn.ok()) {
-          journal_lsn = lsn.value();
-        } else {
-          applied = lsn.error();
-        }
+      case kWalEvict:
+        applied = journal_->Append({SessionOp::kEvict, r.session_id, r.value});
+        journaled = true;
         break;
-      }
-      case kWalGoodbye: {
-        auto lsn = journal_->AppendGoodbye(r.session_id);
-        if (lsn.ok()) {
-          journal_lsn = lsn.value();
-        } else {
-          applied = lsn.error();
-        }
+      case kWalGoodbye:
+        applied = journal_->Append({SessionOp::kGoodbye, r.session_id, 0});
+        journaled = true;
         break;
-      }
       default:
         break;
     }
@@ -921,8 +911,10 @@ Status IngestWal::Checkpoint() {
       break;
     }
   }
-  if (applied.ok() && journal_lsn != 0) {
-    applied = journal_->SyncUpTo(journal_lsn);
+  // One journal fsync per checkpoint, and none for a checkpoint that wrote
+  // no session record (an ack-less epoch seal).
+  if (applied.ok() && journaled) {
+    applied = journal_->Sync();
   }
   if (applied.ok() && config_.fsync) {
     applied = spool_->SyncAll();

@@ -12,18 +12,18 @@
 // Layered on the single commit point:
 //
 //   * Group commit.  Appends only buffer; durability is a barrier
-//     (`SyncUpTo`) with the leader/follower election of
-//     `SessionJournal::SyncUpTo`: concurrent committers elect one leader
-//     that flushes the whole pending block with a single write + fsync and
-//     fires every record's completion, so N concurrent `EnqueueAsync`
-//     reports cost one fsync, not N.  Completions fire strictly after the
+//     (`SyncUpTo`) with a leader/follower election: concurrent committers
+//     elect one leader that flushes the whole pending block with a single
+//     write + fsync and fires every record's completion, so N concurrent
+//     `EnqueueAsync` reports cost one fsync, not N.  Completions fire strictly after the
 //     fsync and strictly before the barrier returns to any waiter.
 //   * Block packing.  A flush writes one CRC-framed block whose payload
 //     packs every pending record, amortizing the 22 B v2 frame header that
 //     costs ~5% on ~450 B sealed reports when paid per record.
 //   * Checkpointing.  `Checkpoint()` rotates to a fresh WAL generation and
 //     writes the flushed-but-unapplied records through to their final homes
-//     — spool segments for reports, the session journal for session ops —
+//     — spool segments for reports, the session journal for session ops
+//     (one journal fsync, only when the batch held a session op) —
 //     then atomically publishes a checkpoint marker (`wal.ckpt`, written
 //     tmp + fsync + rename + parent-dir fsync) and deletes the consumed
 //     generations.  Recovery replays only the un-checkpointed suffix.
@@ -128,7 +128,9 @@ class IngestWal {
   // Steady-state checkpoint targets.  Must outlive this WAL.
   void AttachTargets(Spool* spool, SessionJournal* journal);
   void set_rollback_callback(RollbackCallback cb);
-  // Runs after every successful checkpoint (e.g. journal compaction).
+  // Runs after every successful checkpoint, still under the checkpoint
+  // lock, so it is serialized with the journal write-through (the frontend
+  // compacts the session journal here).
   void set_post_checkpoint_hook(std::function<void()> hook);
 
   // Buffers one report record (with its ack commit when session_id != 0).
@@ -139,10 +141,11 @@ class IngestWal {
   Result<uint64_t> AppendReport(size_t shard, uint64_t epoch, ByteSpan report,
                                 uint64_t session_id, uint64_t seq,
                                 Completion* done);
-  // Session-state records (no completion; durability rides the next
-  // barrier, mirroring the journal's no-fsync evict / fsynced goodbye).
+  // Session-state records (no completion).  An evict's durability rides
+  // the next barrier; a goodbye returns once its own group commit made it
+  // durable (Ok) or rolled it back (the flush error).
   Result<uint64_t> AppendEvict(uint64_t session_id, uint64_t floor);
-  Result<uint64_t> AppendGoodbye(uint64_t session_id);
+  Status AppendGoodbye(uint64_t session_id);
 
   // Group-commit barrier: returns once `lsn` is durable (Ok) or was rolled
   // back by a failed flush (that flush's error).  The record's completion

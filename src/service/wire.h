@@ -30,7 +30,7 @@
 //            reconnecting client's retries are deduplicated by seq.
 //   kGoodbye client -> server.  The session is complete: every report was
 //            acked and the client will never reuse this session id.  The
-//            server journals the termination, drops the session's dedup
+//            server logs the termination, drops the session's dedup
 //            state wholesale, and ACKs the goodbye (echoing its seq) —
 //            the fair-termination handshake that lets cooperative clients
 //            free server memory instead of waiting out LRU eviction.

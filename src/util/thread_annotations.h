@@ -101,7 +101,7 @@ class CAPABILITY("shared_mutex") SharedMutex {
 };
 
 // Scoped exclusive lock.  Relockable (Unlock()/Lock()) so fsync-outside-the-
-// lock patterns (SessionJournal::SyncUpTo) keep their scoped shape.
+// lock patterns (IngestWal::SyncUpTo) keep their scoped shape.
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) ACQUIRE(mu) : mu_(mu), owned_(true) { mu_.Lock(); }

@@ -1,5 +1,5 @@
 // The disk-fault half of the exactly-once contract: every write-side
-// syscall under the spool and the session journal routes through the
+// syscall under the spool, the WAL and the session journal routes through the
 // injectable Fs seam, and this suite drives short writes, ENOSPC, fsync
 // EIO, and crash-at-syscall-k schedules through exactly the production
 // code — then proves the contract end-to-end across a full server restart:
@@ -68,8 +68,9 @@ struct ScratchDir {
 // the network suite's KillSwitchStream.  Forwards to the real filesystem
 // until a schedule trips:
 //   * FailWrites: every write answers ENOSPC with zero bytes landed.
-//   * FailSyncs: fsync answers EIO (the journal's degraded-mode drill).
 //   * FailRemoves(n): the next n unlinks fail (post-drain cleanup retry).
+//   * FailTruncates(n): the next n truncates fail (a rollback that cannot
+//     undo a failed append).
 //   * ArmCrash(k): the k-th subsequent syscall and everything after it
 //     fails — the process dying at syscall k.  If the k-th op is a write,
 //     it lands a half-frame first, so the survivor finds a torn tail.
@@ -77,7 +78,7 @@ struct ScratchDir {
 //     ones succeed.  Pairs with tearing down the whole stack right after:
 //     the process died between two specific syscalls, and the reopening
 //     stack (same FaultFs) finds a healthy disk.  This is the scalpel that
-//     lands a crash exactly inside the spool-append/journal-commit window.
+//     probes every point of the report↔commit atomicity window.
 //   * TrackDirents()/DropUnsyncedDirents(): records file creates and
 //     renames per parent directory and forgets them when that directory is
 //     fsynced; DropUnsyncedDirents() then undoes whatever was never made
@@ -130,10 +131,6 @@ class FaultFs : public Fs {
     if (op >= crash_at_.load() || op == fail_exactly_.load()) {
       return Error{"faultfs: crashed (fsync)"};
     }
-    if (fail_syncs_.load()) {
-      sync_faults_.fetch_add(1);
-      return Error{"faultfs: injected EIO on fsync"};
-    }
     return real_->Sync(fd);
   }
 
@@ -156,6 +153,10 @@ class FaultFs : public Fs {
     if (op >= crash_at_.load() || op == fail_exactly_.load()) {
       return Error{"faultfs: crashed (truncate)"};
     }
+    if (truncate_faults_.fetch_sub(1) > 0) {
+      return Error{"faultfs: injected truncate failure"};
+    }
+    truncate_faults_.fetch_add(1);  // keep the counter from drifting below 0
     return real_->Truncate(path, size);
   }
 
@@ -175,10 +176,6 @@ class FaultFs : public Fs {
     uint64_t op = NextOp();
     if (op >= crash_at_.load() || op == fail_exactly_.load()) {
       return Error{"faultfs: crashed (fsync dir)"};
-    }
-    if (fail_syncs_.load()) {
-      sync_faults_.fetch_add(1);
-      return Error{"faultfs: injected EIO on dir fsync"};
     }
     Status synced = real_->SyncDir(path);
     if (synced.ok()) {
@@ -206,8 +203,8 @@ class FaultFs : public Fs {
   bool crash_exactly_fired() const { return ops_.load() >= fail_exactly_.load(); }
 
   void FailWrites(bool on) { fail_writes_.store(on); }
-  void FailSyncs(bool on) { fail_syncs_.store(on); }
   void FailRemoves(int64_t next_n) { remove_faults_.store(next_n); }
+  void FailTruncates(int64_t next_n) { truncate_faults_.store(next_n); }
 
   void TrackDirents(bool on) { track_dirents_.store(on); }
 
@@ -238,7 +235,6 @@ class FaultFs : public Fs {
 
   uint64_t ops() const { return ops_.load(); }
   uint64_t write_faults() const { return write_faults_.load(); }
-  uint64_t sync_faults() const { return sync_faults_.load(); }
   uint64_t syncdirs() const { return syncdirs_.load(); }
 
  private:
@@ -270,11 +266,10 @@ class FaultFs : public Fs {
   std::atomic<uint64_t> crash_at_{kNever};
   std::atomic<uint64_t> fail_exactly_{kNever};
   std::atomic<bool> fail_writes_{false};
-  std::atomic<bool> fail_syncs_{false};
   std::atomic<bool> track_dirents_{false};
   std::atomic<int64_t> remove_faults_{0};
+  std::atomic<int64_t> truncate_faults_{0};
   std::atomic<uint64_t> write_faults_{0};
-  std::atomic<uint64_t> sync_faults_{0};
   std::atomic<uint64_t> syncdirs_{0};
   mutable std::mutex dirent_mu_;
   std::vector<PendingDirent> pending_dirents_;  // guarded by dirent_mu_
@@ -328,7 +323,7 @@ class FlakyStream : public ByteStream {
 
 // The full server stack, like the network suite's rig, plus the durable
 // session plumbing: Start() binds the FrameServer's AckRegistry to the
-// frontend's replayed journal before the listener accepts anything.
+// frontend's recovered session state before the listener accepts anything.
 struct DurabilityRig {
   explicit DurabilityRig(FrontendConfig config, size_t workers = 2, size_t ring = 64)
       : frontend(std::move(config)),
@@ -458,6 +453,54 @@ void ExpectAckBooksBalance(const DurabilityRig& rig, uint64_t unique_reports) {
   EXPECT_EQ(rig.frontend.stats().duplicates_suppressed.load(), book.duplicates_suppressed);
 }
 
+// A spooled frontend with an AckRegistry bound the production way, driven
+// without the network: each claimed (session, seq) is logged as one WAL
+// record carrying the report and its commit, and the group commit's
+// completion commits (or releases) the claim, as FrameConnection's does.
+struct WalRegistryRig {
+  explicit WalRegistryRig(FrontendConfig config) : frontend(std::move(config)) {
+    EXPECT_TRUE(frontend.Start().ok());
+    EXPECT_TRUE(frontend.BindAckRegistry(&registry).ok());
+  }
+
+  // Logs the report for an already-claimed (session, seq).
+  void Ingest(uint64_t session, uint64_t seq) {
+    Bytes report = SyntheticReport(session, seq);
+    const size_t shard = ShardedIngest::ShardOfReport(report, frontend.num_shards());
+    Status accepted = frontend.AcceptRoutedReportAsync(
+        shard, std::move(report), ReportContext{session, seq},
+        [this, session, seq](const Status& status) {
+          if (status.ok()) {
+            registry.Commit(session, seq);
+          } else {
+            registry.Release(session, seq);
+          }
+        });
+    EXPECT_TRUE(accepted.ok());
+  }
+
+  // Group commit: every report logged so far is durable and its claim
+  // committed.
+  void Barrier() { EXPECT_TRUE(frontend.BarrierIngest().ok()); }
+
+  void Commit(uint64_t session, uint64_t seq) {
+    Ingest(session, seq);
+    Barrier();
+  }
+
+  // Declared first, so it outlives the frontend: the WAL's destructor may
+  // still fire completions into it.
+  AckRegistry registry;
+  ShufflerFrontend frontend;
+};
+
+Result<JournalRecovery> ReopenJournal(const std::string& spool_dir) {
+  SessionJournalConfig journal_config;
+  journal_config.path = spool_dir + "/sessions.journal";
+  SessionJournal journal(journal_config);
+  return journal.Open();
+}
+
 // ----------------------------------------- kill-after-ack, restart, replay
 
 // The tentpole scenario: every report lands durably and is ACKed, but the
@@ -546,8 +589,8 @@ TEST(ServiceDurabilityTest, RestartAfterLostAcksSuppressesFullReplay) {
 
 // ------------------------------------------------- crash-at-syscall-k sweep
 
-// The disk dies at syscall k — mid-spool-append, mid-journal-commit,
-// mid-fsync, anywhere — while a client is streaming reports.  The client
+// The disk dies at syscall k — mid-WAL-append, mid-fsync, mid-checkpoint,
+// anywhere — while a client is streaming reports.  The client
 // quiesces (everything the dead server will ever ACK has been ACKed), the
 // stack is discarded, and a healthy server reopens the directory.  The
 // client's replay of its unACKed remainder must land exactly-once: the
@@ -592,12 +635,9 @@ TEST(ServiceDurabilityTest, CrashAtSyscallKStaysExactlyOnce) {
       // Quiesce: either everything converged (the crash landed after the
       // last report's syscalls) or the ACK stream has gone stable under a
       // dead disk.  Waiting for stability matters: an ACK still in flight
-      // here would be a report the client never replays, and if its
-      // journal record was a post-crash casualty, a replay would duplicate
-      // it.  Once ACKs have drained, every ACKed report's journal record
-      // is either on disk (pre-crash) or its ACK was degraded-mode — and
-      // degraded ACKs only happen for reports whose spool append already
-      // survived, so either way the replay stays exactly-once.
+      // here would be a report the client never replays.  Once ACKs have
+      // drained, every ACKed report's WAL record — report and commit
+      // together — is on disk, so the replay stays exactly-once.
       uint64_t last_acked = ~uint64_t{0};
       int stable_rounds = 0;
       auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
@@ -689,58 +729,16 @@ TEST(ServiceDurabilityTest, SpoolWriteFailureNacksRetryableUntilHealed) {
   EXPECT_EQ(rig.server.ack_book().acked, kReports);
 }
 
-// ------------------------------------------ fsync EIO: the degraded mode
-
-// A failing fsync must not wedge acknowledgment: the report is already in
-// the spool, so NACKing would guarantee a duplicate.  The commit stays
-// in memory, the ACK goes out, and the failure is counted where operators
-// can alarm on it.
-TEST(ServiceDurabilityTest, JournalFsyncFailureDegradesToCountedAcks) {
-  ScratchDir dir("durability-eio");
-  FaultFs fault;
-  FrontendConfig config = DurabilityFrontendConfig(dir.path);
-  config.fs = &fault;
-  // Degraded acks are a JOURNAL-ONLY mode: with the unified WAL a failed
-  // commit append IS a failed report append, so the report NACKs instead of
-  // acking on a weaker promise (see ServiceWalTest coupling tests).
-  config.use_wal = false;
-  DurabilityRig rig(config);
-  rig.Start();
-
-  constexpr uint64_t kReports = 16;
-  FrameClient client(FrameClientConfig{/*session_id=*/0xE10ull});
-  auto stream = rig.Dial();
-  ASSERT_TRUE(stream.ok());
-  ASSERT_TRUE(client.Connect(std::move(stream).value()).ok());
-
-  fault.FailSyncs(true);
-  for (uint64_t i = 0; i < kReports; ++i) {
-    ASSERT_TRUE(client.SendReport(SyntheticReport(2, i)).ok());
-  }
-  // Acks still flow — durability is degraded, not availability.
-  ASSERT_TRUE(client.WaitForAcks(std::chrono::milliseconds(30000)));
-  EXPECT_EQ(client.stats().acked, kReports);
-  EXPECT_EQ(client.stats().nacked, 0u);
-  EXPECT_GT(rig.server.registry().journal_append_failures(), 0u);
-  EXPECT_GT(fault.sync_faults(), 0u);
-  fault.FailSyncs(false);
-  client.Close();
-  ASSERT_TRUE(rig.server.Shutdown().ok());
-  ExpectAckBooksBalance(rig, kReports);
-}
-
 // -------------------- the spool↔journal atomicity window, probed exactly
 
 // One report through a server whose process dies at EXACTLY syscall k (the
 // response — ack or NACK — dies with it), then a healthy stack reopens the
 // directory and the client replays its unconfirmed report.  Returns how
 // many copies of that report the drained epoch holds: 1 is exactly-once,
-// 2 is the window — a crash that landed between the spool append and the
-// journal commit made the report durable without its (session, seq), so
-// the replay re-ingested it.
-uint64_t ReportCopiesAfterExactCrash(FrontendConfig base, const std::string& tag,
-                                     uint64_t k) {
-  ScratchDir dir("durability-window-" + tag + "-" + std::to_string(k));
+// 2 would mean the crash made the report durable without its (session,
+// seq), so the replay re-ingested it.
+uint64_t ReportCopiesAfterExactCrash(FrontendConfig base, uint64_t k) {
+  ScratchDir dir("durability-window-" + std::to_string(k));
   base.spool_dir = dir.path;
   FrameClientConfig client_config{/*session_id=*/0xD00Dull};
   client_config.nack_retry_delay = std::chrono::milliseconds(1);
@@ -807,37 +805,15 @@ uint64_t ReportCopiesAfterExactCrash(FrontendConfig base, const std::string& tag
 
 // The regression the WAL exists for: with the unified record, EVERY exact
 // crash point k yields exactly one copy — "report durable" and "(session,
-// seq) committed" can no longer come apart.  Run this against the
-// journal-only path (use_wal = false) and it fails at the k that lands
-// between the spool append and the journal commit (the companion test
-// below pins that failure mode as the documented pre-WAL behavior).
+// seq) committed" can no longer come apart.  The pre-WAL design wrote them
+// as two appends to two files, and a crash at the k between them left a
+// durable report without its commit: two copies after the replay.
 TEST(ServiceDurabilityTest, WalClosesTheSpoolJournalAtomicityWindowAtEveryCrashPoint) {
   FrontendConfig base = DurabilityFrontendConfig("");
   for (uint64_t k = 1; k <= 12; ++k) {
     SCOPED_TRACE("crash exactly at syscall k=" + std::to_string(k));
-    EXPECT_EQ(ReportCopiesAfterExactCrash(base, "wal", k), 1u);
+    EXPECT_EQ(ReportCopiesAfterExactCrash(base, k), 1u);
   }
-}
-
-// The pre-WAL window, pinned: in journal-only mode there IS a k where the
-// spool append survived the crash but the journal commit did not, and the
-// client's replay re-ingests the report — two copies in the histogram.
-// This test documents the bug the WAL fixes; if it ever starts seeing
-// exactly-once at every k, the journal-only path grew its own fix and the
-// two modes should be re-compared.
-TEST(ServiceDurabilityTest, JournalOnlyModeReingestsOnTheExactWindowCrash) {
-  FrontendConfig base = DurabilityFrontendConfig("");
-  base.use_wal = false;
-  uint64_t worst = 0;
-  for (uint64_t k = 1; k <= 12; ++k) {
-    SCOPED_TRACE("crash exactly at syscall k=" + std::to_string(k));
-    uint64_t copies = ReportCopiesAfterExactCrash(base, "journal-only", k);
-    EXPECT_GE(copies, 1u);  // whatever else, the report is never LOST
-    worst = std::max(worst, copies);
-  }
-  EXPECT_EQ(worst, 2u) << "the atomicity window did not reproduce; if the "
-                          "journal-only path became atomic, update the "
-                          "recovery matrix in docs/service.md";
 }
 
 // ----------------------- lost dirents: the durable-rename discipline, pinned
@@ -1018,24 +994,22 @@ TEST(ServiceDurabilityTest, EvictedClientRotatesSessionExactlyOnce) {
 
 // The registry's memory must stay bounded under session churn: live
 // sessions never exceed the cap, evicted ids become tombstones, and the
-// journal round-trips the whole final state.
+// journal a checkpoint writes from the WAL round-trips the whole final
+// state.
 TEST(ServiceDurabilityTest, SessionChurnStaysBoundedAtCap) {
   ScratchDir dir("durability-churn");
   constexpr size_t kCap = 64;
   constexpr uint64_t kSessions = 10'000;
 
-  SessionJournalConfig journal_config;
-  journal_config.path = dir.path + "/sessions.journal";
-  journal_config.fsync_commits = false;  // buffered: the churn would drown in fsyncs
+  FrontendConfig config = DurabilityFrontendConfig(dir.path);
+  config.fsync_spool = false;  // buffered: the churn would drown in fsyncs
+  config.max_sessions = kCap;
   {
-    SessionJournal journal(journal_config);
-    ASSERT_TRUE(journal.Open().ok());
-    AckRegistry registry;
-    registry.set_max_sessions(kCap);
-    registry.AttachJournal(&journal);
+    WalRegistryRig rig(config);
+    AckRegistry& registry = rig.registry;
     for (uint64_t s = 1; s <= kSessions; ++s) {
       ASSERT_EQ(registry.TryClaim(s, 0), Claim::kNew);
-      registry.Commit(s, 0);
+      rig.Commit(s, 0);
       ASSERT_LE(registry.sessions(), kCap);
     }
     EXPECT_EQ(registry.sessions(), kCap);
@@ -1044,11 +1018,11 @@ TEST(ServiceDurabilityTest, SessionChurnStaysBoundedAtCap) {
     // Evicted sessions answer expired, not duplicate-or-reingest.
     EXPECT_EQ(registry.TryClaim(1, 1), Claim::kSessionExpired);
     EXPECT_EQ(registry.TryClaim(kSessions, 0), Claim::kDuplicate);
+    ASSERT_TRUE(rig.frontend.wal()->Checkpoint().ok());
   }
 
   // The journal round-trips the final shape.
-  SessionJournal reopened(journal_config);
-  auto recovery = reopened.Open();
+  auto recovery = ReopenJournal(dir.path);
   ASSERT_TRUE(recovery.ok());
   EXPECT_EQ(recovery.value().live.size(), kCap);
   EXPECT_EQ(recovery.value().evicted.size(), kSessions - kCap);
@@ -1093,31 +1067,29 @@ TEST(ServiceDurabilityTest, WatermarkSurvivesReleaseCommitInterleavings) {
 }
 
 // An out-of-order commit burst must fold entirely into the contiguous
-// watermark — verified through the journal, whose replay applies the same
-// sweep: the recovered snapshot has an empty sparse set.
+// watermark — verified through the journal a checkpoint writes, whose
+// replay applies the same sweep: the recovered snapshot has an empty sparse
+// set.
 TEST(ServiceDurabilityTest, OutOfOrderCommitBurstCompactsIntoWatermark) {
   ScratchDir dir("durability-ooo");
-  SessionJournalConfig journal_config;
-  journal_config.path = dir.path + "/sessions.journal";
-  journal_config.fsync_commits = false;
+  FrontendConfig config = DurabilityFrontendConfig(dir.path);
+  config.fsync_spool = false;
   {
-    SessionJournal journal(journal_config);
-    ASSERT_TRUE(journal.Open().ok());
-    AckRegistry registry;
-    registry.AttachJournal(&journal);
+    WalRegistryRig rig(config);
+    AckRegistry& registry = rig.registry;
     constexpr uint64_t kBurst = 64;
     for (uint64_t s = 0; s < kBurst; ++s) {
       ASSERT_EQ(registry.TryClaim(7, s), Claim::kNew);
     }
     for (uint64_t s = kBurst; s-- > 0;) {  // commit in strict reverse order
-      registry.Commit(7, s);
+      rig.Commit(7, s);
     }
     for (uint64_t s = 0; s < kBurst; ++s) {
       EXPECT_EQ(registry.TryClaim(7, s), Claim::kDuplicate);
     }
+    ASSERT_TRUE(rig.frontend.wal()->Checkpoint().ok());
   }
-  SessionJournal reopened(journal_config);
-  auto recovery = reopened.Open();
+  auto recovery = ReopenJournal(dir.path);
   ASSERT_TRUE(recovery.ok());
   ASSERT_EQ(recovery.value().live.size(), 1u);
   EXPECT_EQ(recovery.value().live[0].session_id, 7u);
@@ -1162,16 +1134,12 @@ TEST(ServiceDurabilityTest, SeqSpaceSaturatesInsteadOfWrapping) {
 
 TEST(ServiceDurabilityTest, GoodbyeErasesDurableSessionState) {
   ScratchDir dir("durability-goodbye");
-  SessionJournalConfig journal_config;
-  journal_config.path = dir.path + "/sessions.journal";
   {
-    SessionJournal journal(journal_config);
-    ASSERT_TRUE(journal.Open().ok());
-    AckRegistry registry;
-    registry.AttachJournal(&journal);
+    WalRegistryRig rig(DurabilityFrontendConfig(dir.path));
+    AckRegistry& registry = rig.registry;
     for (uint64_t s = 0; s < 10; ++s) {
       ASSERT_EQ(registry.TryClaim(7, s), Claim::kNew);
-      registry.Commit(7, s);
+      rig.Commit(7, s);
     }
     EXPECT_EQ(registry.sessions(), 1u);
 
@@ -1181,10 +1149,10 @@ TEST(ServiceDurabilityTest, GoodbyeErasesDurableSessionState) {
     registry.Terminate(7);  // idempotent
     // A reused id starts over as a brand-new session, not as a ghost.
     EXPECT_EQ(registry.TryClaim(7, 0), Claim::kNew);
+    ASSERT_TRUE(rig.frontend.wal()->Checkpoint().ok());
   }
   // The goodbye record replays: the reopened journal has no trace.
-  SessionJournal reopened(journal_config);
-  auto recovery = reopened.Open();
+  auto recovery = ReopenJournal(dir.path);
   ASSERT_TRUE(recovery.ok());
   EXPECT_TRUE(recovery.value().live.empty());
   EXPECT_TRUE(recovery.value().evicted.empty());
@@ -1202,10 +1170,9 @@ TEST(ServiceDurabilityTest, JournalTruncatesTornTailAndRemovesStaleCompaction) {
     SessionJournal journal(journal_config);
     ASSERT_TRUE(journal.Open().ok());
     for (uint64_t s = 0; s < 5; ++s) {
-      auto lsn = journal.AppendCommit(1, s + 1, s);
-      ASSERT_TRUE(lsn.ok());
-      ASSERT_TRUE(journal.SyncUpTo(lsn.value()).ok());
+      ASSERT_TRUE(journal.Append({SessionOp::kCommit, 1, s}).ok());
     }
+    ASSERT_TRUE(journal.Sync().ok());
   }
   const uint64_t clean_size = stdfs::file_size(path);
   {
@@ -1227,40 +1194,122 @@ TEST(ServiceDurabilityTest, JournalTruncatesTornTailAndRemovesStaleCompaction) {
   EXPECT_EQ(stdfs::file_size(path), clean_size);  // tail gone, records intact
 
   // The reopened journal appends cleanly after the repair.
-  auto lsn = reopened.AppendCommit(1, 6, 5);
-  ASSERT_TRUE(lsn.ok());
-  ASSERT_TRUE(reopened.SyncUpTo(lsn.value()).ok());
+  ASSERT_TRUE(reopened.Append({SessionOp::kCommit, 1, 5}).ok());
+  ASSERT_TRUE(reopened.Sync().ok());
 }
 
 // Compaction keeps the log near one snapshot per session instead of one
-// record per commit, and the rename-commit survives a reopen.
+// record per commit, and the rename-commit survives a reopen.  The WAL's
+// post-checkpoint hook drives it, so the commits ride the real path until
+// the checkpointed records cross the journal's threshold.
 TEST(ServiceDurabilityTest, CompactionBoundsJournalGrowth) {
   ScratchDir dir("durability-compact");
+  FrontendConfig config = DurabilityFrontendConfig(dir.path);
+  config.fsync_spool = false;
+  const uint64_t threshold = SessionJournal::kCompactThresholdBytes;
+  // Commit records are ~47 bytes each: enough to cross the threshold once.
+  const uint64_t commits = threshold / 40;
+  {
+    WalRegistryRig rig(config);
+    for (uint64_t s = 0; s < commits; ++s) {
+      ASSERT_EQ(rig.registry.TryClaim(3, s), Claim::kNew);
+      rig.Ingest(3, s);
+      if ((s + 1) % 1024 == 0 || s + 1 == commits) {
+        rig.Barrier();
+        ASSERT_TRUE(rig.frontend.wal()->Checkpoint().ok());
+      }
+    }
+    // Uncompacted, the commit records alone would exceed the threshold;
+    // compacted down to about one snapshot plus the commits checkpointed
+    // since, the live log stays below it.
+    EXPECT_LT(rig.frontend.session_journal()->appended_bytes(), threshold);
+  }
+  const std::string path = dir.path + "/sessions.journal";
+  EXPECT_LT(stdfs::file_size(path), threshold);
+  auto recovery = ReopenJournal(dir.path);
+  ASSERT_TRUE(recovery.ok());
+  ASSERT_EQ(recovery.value().live.size(), 1u);
+  EXPECT_EQ(recovery.value().live[0].watermark, commits);
+  EXPECT_TRUE(recovery.value().live[0].sparse.empty());
+}
+
+// --------------------------------- a failed journal rollback heals, not wedges
+
+// A journal append that fails during a checkpoint's write-through, and
+// whose rollback truncate fails too, leaves a dirty tail behind.  The next
+// append re-truncates before it writes (the WAL's own dirty-tail rule), so
+// once the disk heals the next seal checkpoints cleanly and a reopen
+// replays a clean log: one transient fault must not wedge sealing until a
+// restart.
+TEST(ServiceDurabilityTest, FailedJournalRollbackHealsOnTheNextCheckpoint) {
+  ScratchDir dir("durability-journal-heal");
+  FaultFs fault;
+  FrontendConfig config = DurabilityFrontendConfig(dir.path);
+  config.fs = &fault;
+  constexpr uint64_t kReports = 4;
+  {
+    WalRegistryRig rig(config);
+    for (uint64_t s = 0; s < kReports; ++s) {
+      ASSERT_EQ(rig.registry.TryClaim(9, s), Claim::kNew);
+      rig.Commit(9, s);
+    }
+    // Checkpoint the reports, so the next write-through starts with a
+    // session record instead of a spool append.
+    ASSERT_TRUE(rig.frontend.wal()->Checkpoint().ok());
+    rig.registry.Terminate(9);  // a goodbye, group-committed to the WAL
+    ASSERT_EQ(rig.registry.session_record_failures(), 0u);
+
+    fault.FailWrites(true);
+    fault.FailTruncates(1);
+    EXPECT_FALSE(rig.frontend.wal()->Checkpoint().ok());
+    EXPECT_GT(fault.write_faults(), 0u);
+    {
+      // What a torn write leaves past the clean prefix when the rollback
+      // cannot remove it.
+      std::ofstream torn(dir.path + "/sessions.journal", std::ios::binary | std::ios::app);
+      torn.write("\xAB\xAB\xAB\xAB\xAB\xAB\xAB", 7);
+    }
+
+    fault.FailWrites(false);  // the disk heals
+    EXPECT_TRUE(rig.frontend.CutEpoch().ok());
+    EXPECT_EQ(rig.frontend.current_epoch(), 1u);
+    EXPECT_EQ(rig.frontend.ingest_stats().seal_failures, 0u);
+  }
+  auto recovery = ReopenJournal(dir.path);
+  ASSERT_TRUE(recovery.ok());
+  EXPECT_EQ(recovery.value().truncated_bytes, 0u);
+  EXPECT_EQ(recovery.value().records, kReports + 1);  // the commits, then the goodbye
+  EXPECT_TRUE(recovery.value().live.empty());
+  EXPECT_TRUE(recovery.value().evicted.empty());
+}
+
+// The compaction's own failure site: the snapshot is renamed into place but
+// the log cannot be reopened for appends.  The next append reopens it
+// instead of failing until a restart.
+TEST(ServiceDurabilityTest, CompactionReopenFailureHealsOnTheNextAppend) {
+  ScratchDir dir("durability-compact-reopen");
+  FaultFs fault;
   SessionJournalConfig journal_config;
   journal_config.path = dir.path + "/sessions.journal";
-  journal_config.fsync_commits = false;
-  journal_config.compact_threshold_bytes = 512;
+  journal_config.fs = &fault;
   {
     SessionJournal journal(journal_config);
     ASSERT_TRUE(journal.Open().ok());
-    AckRegistry registry;
-    registry.AttachJournal(&journal);
-    constexpr uint64_t kCommits = 500;
-    for (uint64_t s = 0; s < kCommits; ++s) {
-      ASSERT_EQ(registry.TryClaim(3, s), Claim::kNew);
-      registry.Commit(3, s);
-    }
-    // ~500 commit records (~45 bytes each) compacted down to about one
-    // snapshot: the live log never strays far past the threshold.
-    EXPECT_LT(journal.appended_bytes(), 1024u);
+    ASSERT_TRUE(journal.Append({SessionOp::kCommit, 4, 0}).ok());
+    // Compact's syscalls: open .new, write, fsync, rename, dir fsync, and
+    // the reopen of the log — the sixth.
+    fault.ArmCrashExactly(6);
+    EXPECT_FALSE(journal.Compact({SessionSnapshot{4, 1, {}}}, {}).ok());
+    EXPECT_TRUE(fault.crash_exactly_fired());
+    ASSERT_TRUE(journal.Append({SessionOp::kCommit, 4, 1}).ok());
+    ASSERT_TRUE(journal.Sync().ok());
   }
-  EXPECT_LT(stdfs::file_size(journal_config.path), 1024u);
-  SessionJournal reopened(journal_config);
-  auto recovery = reopened.Open();
+  auto recovery = ReopenJournal(dir.path);
   ASSERT_TRUE(recovery.ok());
+  EXPECT_EQ(recovery.value().records, 2u);  // the snapshot, then the commit
+  EXPECT_EQ(recovery.value().truncated_bytes, 0u);
   ASSERT_EQ(recovery.value().live.size(), 1u);
-  EXPECT_EQ(recovery.value().live[0].watermark, 500u);
-  EXPECT_TRUE(recovery.value().live[0].sparse.empty());
+  EXPECT_EQ(recovery.value().live[0].watermark, 2u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "src/service/frontend.h"
 #include "src/service/ingest.h"
 #include "src/service/spool.h"
+#include "src/service/wal.h"
 #include "src/service/wire.h"
 #include "src/sgx/attestation.h"
 #include "src/shuffle/stash_shuffle.h"
@@ -113,6 +114,27 @@ Bytes NumberedReport(uint64_t i) {
   return report;
 }
 
+// A spooled ShardedIngest accepts only through its WAL.  Opens `spool`
+// the way ShufflerFrontend::Start does — WAL recovery around the spool's
+// own — and attaches the WAL as its checkpoint target (these tests log no
+// session ops, so no session journal).
+Result<Spool::RecoveryReport> OpenSpoolWithWal(Spool& spool, IngestWal& wal) {
+  auto replayed = wal.RecoverBeforeSpoolOpen();
+  if (!replayed.ok()) {
+    return replayed.error();
+  }
+  auto recovery = spool.Open();
+  if (!recovery.ok()) {
+    return recovery.error();
+  }
+  Status finished = wal.FinishRecovery();
+  if (!finished.ok()) {
+    return finished.error();
+  }
+  wal.AttachTargets(&spool, /*journal=*/nullptr);
+  return recovery;
+}
+
 TEST(ServiceTest, SizeTriggerSealsEpochs) {
   IngestConfig config;
   config.num_shards = 4;
@@ -163,16 +185,19 @@ TEST(ServiceTest, AgeTriggerWaitsForAnonymityFloor) {
 }
 
 TEST(ServiceTest, TickSurfacesAndCountsSealFailures) {
-  // A spool whose directory vanishes mid-epoch: the age-cut's SealEpoch
-  // fails.  The failure must not vanish with it — Tick returns the error,
-  // stats record it, and the epoch stays open for a retry.
+  // A spool whose directory vanishes mid-epoch: the age-cut's seal (its
+  // WAL checkpoint first) fails.  The failure must not vanish with it —
+  // Tick returns the error, stats record it, and the epoch stays open for
+  // a retry.
   ScratchDir dir("seal-failure");
   Spool spool(SpoolConfig{dir.path, /*fsync_on_seal=*/false});
-  ASSERT_TRUE(spool.Open().ok());
+  IngestWal wal(IngestWalConfig{dir.path, /*fsync=*/false});
+  ASSERT_TRUE(OpenSpoolWithWal(spool, wal).ok());
   IngestConfig config;
   config.num_shards = 2;
   config.max_epoch_age = 1;
   ShardedIngest ingest(config, &spool);
+  ingest.SetWal(&wal);
   for (uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(ingest.Accept(NumberedReport(i)).ok());
   }
@@ -288,18 +313,21 @@ TEST(ServiceTest, RecoveryResumesEpochWhoseOnlySegmentWasTorn) {
   }
 
   Spool reopened(SpoolConfig{dir.path, true});
-  auto recovery = reopened.Open();
+  IngestWal wal(IngestWalConfig{dir.path});
+  auto recovery = OpenSpoolWithWal(reopened, wal);
   ASSERT_TRUE(recovery.ok());
   IngestConfig config;
   config.num_shards = 4;
   ShardedIngest ingest(config, &reopened);
   ingest.RestoreFromRecovery(recovery.value());
+  ingest.SetWal(&wal);
 
   // The zero-frame epoch 1 must still be the resume point: new reports may
   // never be appended to epoch 0, whose seal marker already exists.
   EXPECT_EQ(ingest.current_epoch(), 1u);
   EXPECT_EQ(ingest.current_epoch_size(), 0u);
   ASSERT_TRUE(ingest.Accept(NumberedReport(60)).ok());
+  ASSERT_TRUE(wal.Checkpoint().ok());  // writes the report through to its segment
   EXPECT_EQ(reopened.EpochFrameCount(0), 6u);  // sealed epoch untouched
   EXPECT_EQ(reopened.EpochFrameCount(1), 1u);
 }

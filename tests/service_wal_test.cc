@@ -1,6 +1,6 @@
 // The unified ingest WAL (src/service/wal.h) under test: torn-tail
 // truncation to the clean prefix, checkpoint write-through + replay
-// bit-identity against the journal-only spool path, group-commit fsync
+// bit-identity against the in-memory frontend, group-commit fsync
 // amortization under concurrent clients, ENOSPC/EIO degradation books,
 // and a seeded crash sweep.  The report↔commit atomicity COUPLING — a
 // failed group commit loses both halves together, never one — is pinned
@@ -172,13 +172,12 @@ std::vector<Bytes> SealCohort(const FrontendConfig& base, const std::string& cli
   return std::move(sealed).value();
 }
 
-// The journal-only reference: same reports, same config, use_wal = false.
-std::map<std::string, uint64_t> JournalOnlyHistogram(const FrontendConfig& base,
-                                                     const std::vector<Bytes>& sealed) {
-  ScratchDir dir("wal-reference");
+// The in-memory reference: same reports, same config, no spool (and so no
+// WAL) at all.
+std::map<std::string, uint64_t> InMemoryHistogram(const FrontendConfig& base,
+                                                  const std::vector<Bytes>& sealed) {
   FrontendConfig config = base;
-  config.spool_dir = dir.path;
-  config.use_wal = false;
+  config.spool_dir.clear();
   ShufflerFrontend reference(config);
   EXPECT_TRUE(reference.Start().ok());
   for (const auto& report : sealed) {
@@ -212,11 +211,11 @@ std::string NewestWalGen(const std::string& dir) {
 // A group commit torn mid-write by a crash: recovery must truncate the
 // newest generation back to its clean frame prefix, replay exactly the
 // reports that fully landed, and resume the interrupted epoch — the
-// finished epoch drains bit-identically to the journal-only reference.
+// finished epoch drains bit-identically to the in-memory reference.
 TEST(ServiceWalTest, TornTailTruncatesToCleanPrefixAndReplaysExactly) {
   FrontendConfig base = WalFrontendConfig("");
   const std::vector<Bytes> sealed = SealCohort(base, "wal-torn");
-  const auto expected = JournalOnlyHistogram(base, sealed);
+  const auto expected = InMemoryHistogram(base, sealed);
   const size_t half = sealed.size() / 2;
 
   ScratchDir dir("wal-torn");
@@ -266,14 +265,14 @@ TEST(ServiceWalTest, TornTailTruncatesToCleanPrefixAndReplaysExactly) {
 
 // Reports that crossed a checkpoint (write-through into spool segments)
 // and reports still in the live generation at the crash must together
-// reconstruct the same epoch the journal-only spool path produces — at
+// reconstruct the same epoch the in-memory frontend produces — at
 // every thread count.
-TEST(ServiceWalTest, CheckpointAndReplayStayBitIdenticalToJournalOnlySpool) {
+TEST(ServiceWalTest, CheckpointAndReplayStayBitIdenticalToInMemoryFrontend) {
   for (size_t threads : {size_t{0}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     FrontendConfig base = WalFrontendConfig("", threads);
     const std::vector<Bytes> sealed = SealCohort(base, "wal-ckpt");
-    const auto expected = JournalOnlyHistogram(base, sealed);
+    const auto expected = InMemoryHistogram(base, sealed);
     const size_t third = sealed.size() / 3;
 
     ScratchDir dir("wal-ckpt-" + std::to_string(threads));
@@ -472,6 +471,60 @@ TEST(ServiceWalTest, FailedGroupCommitCouplesReportAndCommitLoss) {
     EXPECT_EQ(survivor.current_epoch_size(), 1u);
     EXPECT_EQ(survivor.stats().recovered_wal_reports.load(), 1u);
     EXPECT_EQ(survivor.stats().recovered_wal_session_ops.load(), 1u);
+  }
+}
+
+// ------------------------------------------ a crash inside a checkpoint
+
+// The disk dies at each syscall k of one checkpoint in turn — rotation,
+// segment write-through, fsyncs, the marker's tmp + rename, the unlink of
+// covered generations — and a healthy stack reopens the directory.  Before
+// the marker renames, recovery rolls the segments back to the old marker's
+// sizes and replays the WAL; after it, the segments are the state.  Either
+// way the epoch holds every report exactly once and drains bit-identically
+// to the in-memory reference.
+TEST(ServiceWalTest, CrashInsideCheckpointReplaysExactlyOnce) {
+  FrontendConfig base = WalFrontendConfig("");
+  const std::vector<Bytes> sealed = SealCohort(base, "wal-ckpt-crash");
+  const auto expected = InMemoryHistogram(base, sealed);
+  const size_t half = sealed.size() / 2;
+
+  bool crashed = true;
+  for (uint64_t k = 1; crashed; ++k) {
+    ASSERT_LT(k, 200u) << "the checkpoint never completed";
+    SCOPED_TRACE("crash at checkpoint syscall k=" + std::to_string(k));
+    ScratchDir dir("wal-ckpt-crash");
+    FrontendConfig config = base;
+    config.spool_dir = dir.path;
+    WalFaultFs fault;
+    {
+      FrontendConfig faulty = config;
+      faulty.fs = &fault;
+      ShufflerFrontend before(faulty);
+      ASSERT_TRUE(before.Start().ok());
+      // The first half is checkpointed into segments: the old marker.
+      for (size_t i = 0; i < half; ++i) {
+        ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
+      }
+      ASSERT_TRUE(before.wal()->Checkpoint().ok());
+      for (size_t i = half; i < sealed.size(); ++i) {
+        ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
+      }
+      ASSERT_TRUE(before.SyncSpool().ok());
+      fault.ArmCrash(k);
+      (void)before.wal()->Checkpoint();
+      crashed = fault.crashed();
+    }  // the stack dies with the disk
+
+    ShufflerFrontend after(config);
+    ASSERT_TRUE(after.Start().ok());
+    EXPECT_EQ(after.current_epoch_size(), sealed.size());
+    ASSERT_TRUE(after.CutEpoch().ok());
+    auto drained = after.DrainSealedEpochs();
+    ASSERT_TRUE(drained.ok()) << drained.failure->error.message;
+    ASSERT_EQ(drained.results.size(), 1u);
+    EXPECT_EQ(drained.results[0].reports, sealed.size());
+    EXPECT_EQ(drained.results[0].result.histogram, expected);
   }
 }
 
