@@ -41,6 +41,16 @@ Rules (each suppressible per line with a trailing `// lint:allow(<rule>)`):
       greppable .Declassify().  Expose() is the crypto tier's internal
       "stay-tainted" accessor, not an escape hatch.
 
+  analyzer-open
+      Inner-box decryption (Analyzer::DecryptBatch, OpenInnerBox) is called
+      only from sanctioned sites: src/core/analyzer.{h,cc} and
+      src/core/report.{h,cc} declare and implement it, and every other call
+      must carry the tag, which makes
+      `grep -rn 'lint:allow(analyzer-open)' src` the registry of places
+      where plaintext comes into being.  ESA's guarantee is that only the
+      analyzer, and only after thresholding, opens an inner box; a shuffler
+      or a cluster group that starts decrypting again fails here.
+
   ct-declassify-reason
       Every declassification point (.Declassify() call, ct::Unpoison*,
       ct::Declassify*) must carry a same-line `// ct:declassify(<reason>)`
@@ -88,6 +98,13 @@ EQUALITY_OP = re.compile(r"[^=!<>]==[^=]|!=")
 EXPOSE_CALL = re.compile(r"\.Expose(?:Mutable)?\s*\(")
 DECLASSIFY_CALL = re.compile(r"\.Declassify\s*\(|\bct::Unpoison\w*\s*[(<]|\bct::Declassify\w*\s*\(")
 DECLASSIFY_REASON = re.compile(r"ct:declassify\(")
+# Inner-box decryption entry points, and the files that declare and
+# implement them.  (ElGamalDecryptBatch is the shuffler's, and does not match.)
+ANALYZER_OPEN = re.compile(r"\b(?:DecryptBatch|OpenInnerBox)\s*\(")
+ANALYZER_OPEN_FILES = {
+    os.path.join("src", "core", name) for name in
+    ("analyzer.h", "analyzer.cc", "report.h", "report.cc")
+}
 # `name = <expr involving a tainted name>` taints `name` (one-step flow).
 # Captures the base object of a member store (`out.c1 = ...` taints `out`).
 ASSIGN = re.compile(r"(?<![.\w>])(\w+)(?:(?:\.|->)\w+)*\s*=(?![=<>])")
@@ -259,6 +276,14 @@ def lint_file(root, rel, findings):
                                  "'// ct:declassify(<reason>)' comment — every exit from the "
                                  "taint domain must be self-justifying"))
 
+    if rel not in ANALYZER_OPEN_FILES:
+        for i, code in enumerate(code_lines, 1):
+            if ANALYZER_OPEN.search(code) and not allowed(i, "analyzer-open"):
+                findings.append((rel, i, "analyzer-open",
+                                 "inner-box decryption outside the analyzer — only a "
+                                 "thresholded batch may be opened; tag a sanctioned site "
+                                 "with '// lint:allow(analyzer-open)'"))
+
     if rel in DURABILITY_FILES:
         for i, code in enumerate(code_lines, 1):
             if RENAME_CALL.search(code) and not allowed(i, "fsync-before-rename"):
@@ -328,6 +353,12 @@ def self_test():
          "  printf(\"crowd=%s\", crowd_id.c_str());\n"
          "}\n",
          ["crowd-plaintext-leak"]),
+        ("src/core/bad_group_decrypt.cc",
+         "void f(Analyzer& analyzer, const std::vector<Bytes>& boxes) {\n"
+         "  sink(analyzer.DecryptBatch(boxes));\n"
+         "  sink(OpenInnerBox(keys, boxes[0]));\n"
+         "}\n",
+         ["analyzer-open"]),
     ]
     failures = []
     with tempfile.TemporaryDirectory(prefix="ctlint-selftest-") as tmp:
@@ -366,6 +397,7 @@ def self_test():
             "  uint64_t mask = ct::NonZeroMask(k.Expose().limbs[0]);\n"
             "  U256 r = ct::CtSelect(mask, a, b);\n"
             "  ct::UnpoisonObject(r);  // ct:declassify(selector output is public)\n"
+            "  sink(ElGamalDecryptBatch(key, cts));\n"
             "  return r;\n"
             "}\n")
         rel = os.path.join("src", "crypto", "clean.cc")

@@ -6,47 +6,24 @@
 
 namespace prochlo {
 
-std::vector<std::optional<Bytes>> Analyzer::DecryptBatchSlots(
-    const std::vector<Bytes>& inner_boxes, ThreadPool* pool) {
-  stats_.received += inner_boxes.size();
-  std::vector<std::optional<Bytes>> slots(inner_boxes.size());
-
-  auto handle_one = [&](size_t i) {
-    auto padded = OpenInnerBox(keys_, inner_boxes[i]);
-    if (!padded.has_value()) {
-      return;
-    }
-    auto payload = UnpadPayload(*padded);
-    if (!payload.has_value()) {
-      return;
-    }
-    slots[i] = std::move(*payload);
-  };
-
-  if (pool != nullptr) {
-    pool->ParallelFor(inner_boxes.size(), handle_one);
-  } else {
-    for (size_t i = 0; i < inner_boxes.size(); ++i) {
-      handle_one(i);
-    }
-  }
-
-  for (const auto& slot : slots) {
-    if (!slot.has_value()) {
-      stats_.undecryptable++;
-    }
-  }
-  return slots;
-}
-
 std::vector<Bytes> Analyzer::DecryptBatch(const std::vector<Bytes>& inner_boxes,
                                           ThreadPool* pool) {
-  std::vector<std::optional<Bytes>> slots = DecryptBatchSlots(inner_boxes, pool);
+  stats_.received += inner_boxes.size();
+  std::vector<std::optional<Bytes>> slots(inner_boxes.size());
+  ParallelFor(pool, inner_boxes.size(), [&](size_t i) {
+    auto padded = OpenInnerBox(keys_, inner_boxes[i]);
+    if (padded.has_value()) {
+      slots[i] = UnpadPayload(*padded);
+    }
+  });
+
   std::vector<Bytes> payloads;
   payloads.reserve(inner_boxes.size());
   for (auto& slot : slots) {
     if (slot.has_value()) {
       payloads.push_back(std::move(*slot));
+    } else {
+      stats_.undecryptable++;
     }
   }
   return payloads;

@@ -34,13 +34,6 @@ class Analyzer {
   std::vector<Bytes> DecryptBatch(const std::vector<Bytes>& inner_boxes,
                                   ThreadPool* pool = nullptr);
 
-  // Slot-preserving variant: out[i] is inner_boxes[i]'s payload, or nullopt
-  // when undecryptable (still counted in stats()).  The cluster's partial
-  // drain needs the pairing between each payload and its report's crowd, so
-  // it cannot use the compacting DecryptBatch.
-  std::vector<std::optional<Bytes>> DecryptBatchSlots(const std::vector<Bytes>& inner_boxes,
-                                                      ThreadPool* pool = nullptr);
-
   // Materializes a histogram of string-valued payloads — the "database
   // compatible with standard tools" of §3.4.
   static std::map<std::string, uint64_t> HistogramOfValues(const std::vector<Bytes>& payloads);

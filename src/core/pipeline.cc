@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 namespace prochlo {
 
@@ -133,7 +134,8 @@ Result<PipelineResult> Pipeline::RunReports(RecordStream& reports, SecureRandom&
 
   // ---- Analyze ----
   auto t2 = std::chrono::steady_clock::now();
-  std::vector<Bytes> payloads = analyzer_.DecryptBatch(inner_boxes, pool_.get());
+  std::vector<Bytes> payloads =
+      analyzer_.DecryptBatch(inner_boxes, pool_.get());  // lint:allow(analyzer-open)
   if (config_.secret_share_threshold.has_value()) {
     auto recovered =
         Analyzer::RecoverSecretShared(payloads, *config_.secret_share_threshold);
@@ -165,64 +167,49 @@ Result<EpochPartial> Pipeline::RunReportsPartial(RecordStream& reports) {
     return views.error();
   }
   partial.malformed = partial.reports - views.value().size();
-
-  // Decrypt slot-preservingly so each payload stays paired with its
-  // report's crowd; a failed inner box still counts toward its crowd's
-  // threshold cardinality (the serial pipeline thresholds pre-decryption).
-  std::vector<Bytes> inner_boxes;
-  std::vector<uint64_t> crowd_hashes;
-  inner_boxes.reserve(views.value().size());
-  crowd_hashes.reserve(views.value().size());
   for (auto& view : views.value()) {
-    crowd_hashes.push_back(view.crowd.plain_hash);
-    inner_boxes.push_back(std::move(view.inner_box));
-  }
-  std::vector<std::optional<Bytes>> slots =
-      analyzer_.DecryptBatchSlots(inner_boxes, pool_.get());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    CrowdPartial& crowd = partial.crowds[crowd_hashes[i]];
-    if (slots[i].has_value()) {
-      crowd.value_counts[std::move(*slots[i])]++;
-    } else {
-      crowd.undecryptable++;
-    }
+    partial.crowds[view.crowd.plain_hash].inner_boxes.push_back(std::move(view.inner_box));
   }
   return partial;
 }
 
-Result<PipelineResult> Pipeline::MergePartials(const std::vector<EpochPartial>& partials,
-                                               Rng& noise_rng) {
+Result<PipelineResult> Pipeline::MergePartials(std::vector<EpochPartial>& partials,
+                                               Rng& noise_rng, ThreadPool* pool) {
   if (config_.use_blinded_crowd_ids) {
     return Error{
         "partial merge requires plain-hash crowd IDs "
         "(blinded mode needs the two-party rendezvous)"};
   }
   auto t0 = std::chrono::steady_clock::now();
-  EpochPartial folded;
-  for (const auto& partial : partials) {
-    folded.Fold(partial);
+  PipelineResult result;
+  // Crowd hash -> that crowd's share in each partial.  The ordered map is
+  // ThresholdAndStrip's ascending crowd-hash order over the union.
+  std::map<uint64_t, std::vector<CrowdPartial*>> crowds;
+  for (auto& partial : partials) {
+    result.shuffler_stats.received += partial.reports;
+    result.shuffler_stats.malformed += partial.malformed;
+    for (auto& [crowd_hash, crowd] : partial.crowds) {
+      crowds[crowd_hash].push_back(&crowd);
+    }
   }
 
   // The minimum-batch decision is a property of the whole epoch, so it runs
   // here — over the union — with ProcessStream's exact semantics (and exact
   // message): the raw report count, malformed included, must clear the bar.
   const ShufflerConfig& shuffler_config = config_.shuffler;
-  if (folded.reports < shuffler_config.min_batch_size) {
+  if (result.shuffler_stats.received < shuffler_config.min_batch_size) {
     return Error{"batch below the minimum cardinality; keep batching"};
   }
+  result.shuffler_stats.crowds_seen = crowds.size();
 
-  PipelineResult result;
-  result.shuffler_stats.received = folded.reports;
-  result.shuffler_stats.malformed = folded.malformed;
-  result.shuffler_stats.crowds_seen = folded.crowds.size();
-
-  // Ascending crowd-hash order — the same sorted-map order
-  // ThresholdAndStrip visits, so under kRandomized each crowd consumes the
-  // identical noise draw the serial drain would have given it.
-  std::vector<Bytes> survivor_payloads;
-  uint64_t undecryptable_survivors = 0;
-  for (const auto& [crowd_hash, crowd] : folded.crowds) {
-    uint64_t count = crowd.Total();
+  // Threshold on cardinalities alone; only surviving crowds' boxes move.
+  std::vector<Bytes> forwarded;
+  for (auto& [crowd_hash, shares] : crowds) {
+    uint64_t total = 0;
+    for (const CrowdPartial* share : shares) {
+      total += share->inner_boxes.size();
+    }
+    uint64_t count = total;
     if (shuffler_config.threshold_mode == ThresholdMode::kRandomized) {
       uint64_t d = static_cast<uint64_t>(noise_rng.NextRoundedTruncatedGaussian(
           shuffler_config.policy.drop_mean, shuffler_config.policy.drop_sigma));
@@ -240,33 +227,33 @@ Result<PipelineResult> Pipeline::MergePartials(const std::vector<EpochPartial>& 
     }
     result.shuffler_stats.crowds_forwarded++;
     result.shuffler_stats.forwarded += count;
-    // Survivors: values in ascending payload order first, then the
-    // undecryptable remainder — i.e. noise drops consume undecryptable
-    // members before valued ones (deterministic; see the header's caveat on
-    // mixed-value crowds).
-    uint64_t quota = count;
-    for (const auto& [payload, value_count] : crowd.value_counts) {
-      uint64_t take = std::min(value_count, quota);
-      for (uint64_t k = 0; k < take; ++k) {
-        survivor_payloads.push_back(payload);
-      }
-      quota -= take;
-      if (quota == 0) {
-        break;
-      }
+    const auto begin = static_cast<std::ptrdiff_t>(forwarded.size());
+    for (CrowdPartial* share : shares) {
+      std::move(share->inner_boxes.begin(), share->inner_boxes.end(),
+                std::back_inserter(forwarded));
+      share->inner_boxes.clear();
     }
-    undecryptable_survivors += quota;
+    if (count < total) {
+      // Noise drops: the `count` smallest ciphertexts survive, a choice
+      // that depends on the report set alone.
+      auto keep_end = forwarded.begin() + begin + static_cast<std::ptrdiff_t>(count);
+      std::nth_element(forwarded.begin() + begin, keep_end, forwarded.end());
+      forwarded.erase(keep_end, forwarded.end());
+    }
   }
 
-  result.analyzer_stats.received = result.shuffler_stats.forwarded;
-  result.analyzer_stats.undecryptable = undecryptable_survivors;
+  // Crowd IDs stop here: the analyzer gets a flat batch of inner boxes.
+  ThreadPool* decrypt_pool = pool != nullptr ? pool : pool_.get();
+  std::vector<Bytes> payloads =
+      analyzer_.DecryptBatch(forwarded, decrypt_pool);  // lint:allow(analyzer-open)
+  result.analyzer_stats.received = forwarded.size();
+  result.analyzer_stats.undecryptable = forwarded.size() - payloads.size();
   if (config_.secret_share_threshold.has_value()) {
-    auto recovered =
-        Analyzer::RecoverSecretShared(survivor_payloads, *config_.secret_share_threshold);
+    auto recovered = Analyzer::RecoverSecretShared(payloads, *config_.secret_share_threshold);
     result.histogram = std::move(recovered.values);
     result.locked_groups = recovered.locked_groups;
   } else {
-    result.histogram = Analyzer::HistogramOfValues(survivor_payloads);
+    result.histogram = Analyzer::HistogramOfValues(payloads);
   }
   result.analyze_seconds = SecondsSince(t0);
   return result;

@@ -48,47 +48,28 @@ struct PipelineResult {
   double analyze_seconds = 0;
 };
 
-// One crowd's pre-threshold contribution from one shard group: decrypted
-// payload -> count, plus the reports whose inner box would not open.  The
-// undecryptable count still participates in thresholding — the serial
-// pipeline thresholds on crowd cardinality BEFORE decryption, so a crowd of
-// 20 reports with 3 bad inner boxes passes a T=20 threshold there, and must
-// pass it here too.
+// One crowd's pre-threshold contribution from one shard group: its
+// reports' inner boxes, still encrypted to the analyzer.  A group is a pure
+// shuffler — it opens only the outer layer — so a partial carries crowd
+// cardinalities and ciphertext, never plaintext.  Boxes are moved in from
+// the opened views and moved out again by MergePartials; never copied.
 struct CrowdPartial {
+  std::vector<Bytes> inner_boxes;
+  // Always empty: groups no longer decrypt.  Kept only because the frozen
+  // benchmark (perfbench/src/cluster_epoch.cc) still reads it; delete it at
+  // the next benchmark change (ROADMAP).
   std::map<Bytes, uint64_t> value_counts;
-  uint64_t undecryptable = 0;
-
-  uint64_t Total() const {
-    uint64_t total = undecryptable;
-    for (const auto& [value, count] : value_counts) {
-      total += count;
-    }
-    return total;
-  }
-  void Fold(const CrowdPartial& other) {
-    undecryptable += other.undecryptable;
-    for (const auto& [value, count] : other.value_counts) {
-      value_counts[value] += count;
-    }
-  }
 };
 
 // One epoch's pre-threshold state from one shard group, the unit
-// HistogramMerge combines: per-crowd value counts keyed by plain crowd
-// hash.  No thresholding, noise, or minimum-batch decision has been made —
-// those are functions of the whole epoch and belong to MergePartials.
+// HistogramMerge combines: per-crowd inner boxes keyed by plain crowd hash.
+// No thresholding, noise, minimum-batch decision or inner-layer decryption
+// has happened — those are functions of the whole epoch and belong to
+// MergePartials.
 struct EpochPartial {
   uint64_t reports = 0;    // raw reports pulled from the stream
   uint64_t malformed = 0;  // outer opens that failed
   std::map<uint64_t, CrowdPartial> crowds;
-
-  void Fold(const EpochPartial& other) {
-    reports += other.reports;
-    malformed += other.malformed;
-    for (const auto& [hash, crowd] : other.crowds) {
-      crowds[hash].Fold(crowd);
-    }
-  }
 };
 
 class Pipeline {
@@ -119,30 +100,32 @@ class Pipeline {
   Result<PipelineResult> RunReports(const std::vector<Bytes>& reports);
 
   // Cluster split of RunReports, bit-identical when recombined (see
-  // MergePartials).  RunReportsPartial runs only the per-report stages —
-  // open the outer layer, decrypt the inner box, bucket by crowd — and
-  // needs no randomness at all: a group's partial is a pure function of its
-  // report set.  The batch-global stages (minimum-batch check, per-crowd
-  // noise + thresholding, histogram/secret-share recovery) run once in
-  // MergePartials over the folded crowds.  Single-shuffler (plain-hash
-  // crowd ID) mode only: blinded crowd IDs need the two-party rendezvous
-  // and return an Error here.
+  // MergePartials).  RunReportsPartial is the shuffler's per-report work
+  // only — open the outer layer, bucket the inner boxes by crowd — and
+  // needs no randomness: a group's partial is a pure function of its report
+  // set.  Nothing is decrypted here.  Single-shuffler (plain-hash crowd ID)
+  // mode only: blinded crowd IDs need the two-party rendezvous and return
+  // an Error here.
   Result<EpochPartial> RunReportsPartial(RecordStream& reports);
 
-  // Combines per-group partials of ONE epoch into the analyzer-facing
-  // result.  `noise_rng` must be the same epoch-derived noise RNG the
-  // serial drain would use: crowds are visited in ascending crowd-hash
-  // order — exactly ThresholdAndStrip's order over the union of reports —
-  // so each crowd consumes the same noise draw and the merged histogram is
-  // bit-identical to the serial single-frontend result regardless of group
-  // count, split, or partial arrival order.  Inherits RunReports'
-  // determinism caveats: always under kNone/kNaive thresholding, and under
-  // kRandomized when each crowd maps to one value (noise drops of a
-  // mixed-value crowd depend on which members the serial shuffle dropped;
-  // here drops consume the undecryptable count first, then values in
-  // ascending payload order).
-  Result<PipelineResult> MergePartials(const std::vector<EpochPartial>& partials,
-                                       Rng& noise_rng);
+  // The analyzer side of the cluster split: combines the partials of ONE
+  // epoch into the analyzer-facing result.  Crowd cardinalities are summed
+  // across groups and the batch-global stages run exactly once: the
+  // minimum-batch check, then per-crowd noise + thresholding in ascending
+  // crowd-hash order — ThresholdAndStrip's order over the union of reports
+  // — so with the serial drain's epoch-derived `noise_rng` each crowd
+  // consumes the same noise draw.  Only then are crowd IDs stripped and the
+  // survivors' inner boxes decrypted (on `pool`, else the pipeline's own),
+  // so a crowd below the threshold is never opened.  Within a crowd that
+  // loses members to noise, survivors are taken in ascending ciphertext
+  // order, so the result depends only on the report set — never on group
+  // count, split, or partial order.  It is bit-identical to the serial
+  // drain under kNone/kNaive, and under kRandomized when each crowd maps to
+  // one value (the serial drain drops from its shuffled tail instead).
+  // On success the survivors' inner boxes are moved out of `partials`; on
+  // error `partials` is untouched, so the caller can retry.
+  Result<PipelineResult> MergePartials(std::vector<EpochPartial>& partials, Rng& noise_rng,
+                                       ThreadPool* pool = nullptr);
 
  private:
   PipelineConfig config_;

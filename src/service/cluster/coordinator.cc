@@ -3,7 +3,7 @@
 namespace prochlo {
 
 EpochCoordinator::EpochCoordinator(std::vector<ShardGroup*> groups)
-    : groups_(std::move(groups)) {}
+    : groups_(std::move(groups)), pool_(groups_.size()) {}
 
 EpochCoordinator::~EpochCoordinator() { Stop(); }
 
@@ -14,7 +14,7 @@ void EpochCoordinator::Start() {
   started_ = true;
   for (ShardGroup* group : groups_) {
     // Lock-light nudge: the seal path only flips a condition variable; the
-    // actual drain happens on the merging thread.
+    // actual drain runs on the coordinator's pool, driven by MergeEpoch.
     group->frontend().SetSealListener([this] {
       MutexLock lock(mu_);
       seal_cv_.NotifyAll();
@@ -57,26 +57,30 @@ Status EpochCoordinator::CutEpochAll() {
 }
 
 Status EpochCoordinator::PumpPartials() {
-  Status first_error = Status::Ok();
-  for (ShardGroup* group : groups_) {
+  std::vector<Status> errors(groups_.size());
+  pool_.ParallelFor(groups_.size(), [&](size_t g) {
+    ShardGroup* group = groups_[g];
     for (;;) {
       auto drained = group->frontend().DrainNextEpochPartial();
       if (!drained.ok()) {
         // The epoch was requeued intact at its group; a later pump retries.
-        if (first_error.ok()) {
-          first_error = drained.error();
-        }
-        break;
+        errors[g] = drained.error();
+        return;
       }
       if (!drained.value().has_value()) {
-        break;  // this group's sealed queue is empty
+        return;  // this group's sealed queue is empty
       }
       EpochPartialResult result = std::move(*drained.value());
       MutexLock lock(mu_);
       partials_[result.epoch][group->group_id()] = std::move(result.partial);
     }
+  });
+  for (Status& status : errors) {
+    if (!status.ok()) {
+      return status;
+    }
   }
-  return first_error;
+  return Status::Ok();
 }
 
 Result<ClusterEpochResult> EpochCoordinator::MergeEpoch(uint64_t epoch, HistogramMerge& merge,
@@ -136,7 +140,7 @@ Result<ClusterEpochResult> EpochCoordinator::MergeEpoch(uint64_t epoch, Histogra
     total_reports += partial.reports;
     merge_inputs.push_back(std::move(partial));
   }
-  auto merged = merge.Merge(epoch, merge_inputs);
+  auto merged = merge.Merge(epoch, merge_inputs, &pool_);
   if (!merged.ok()) {
     // e.g. the epoch union is below the minimum batch: put the partials
     // back so a later MergeEpoch (after more groups contribute, or with the

@@ -1,12 +1,17 @@
 // EpochCoordinator: the cluster's epoch barrier.  Tracks every group's seal
-// progress, buffers drained partials, and releases an epoch to the merge
-// only when every group has contributed it — or a timeout expired with the
-// shortfall accounted, never silently dropped.
+// progress, drains partials, and releases an epoch to the merge only when
+// every group has contributed it — or a timeout expired with the shortfall
+// accounted, never silently dropped.
 //
-//   groups seal epoch e ──listener nudge──► coordinator drains partials
+//   groups seal epoch e ──listener nudge──► PumpPartials: one drain per group,
+//                                           in parallel on the coordinator's
+//                                           pool (outer opens only; each
+//                                           partial is per-crowd ciphertext)
 //                                               │  all N buffered for e?
 //                                               ▼
-//                                    HistogramMerge::Merge(e, partials)
+//                              HistogramMerge::Merge(e, partials, &pool):
+//                              threshold on summed crowd counts, then
+//                              decrypt only the survivors, on the same pool
 //
 // Epoch alignment: CutEpochAll() is the quiescent cut — flush every worker
 // ring (each enqueued report durably ingested), then force-seal every
@@ -25,6 +30,7 @@
 #include "src/service/cluster/merge.h"
 #include "src/service/cluster/shard_group.h"
 #include "src/util/thread_annotations.h"
+#include "src/util/thread_pool.h"
 
 namespace prochlo {
 
@@ -71,11 +77,15 @@ class EpochCoordinator {
   FrontendStats& merge_stats() { return merge_stats_; }
 
  private:
-  // Drains every group's sealed epochs into partials_; returns the first
-  // drain error (failed epochs stay requeued at their group for retry).
+  // Drains every group's sealed epochs into partials_, one group per pool
+  // thread; returns the first drain error in group order (failed epochs
+  // stay requeued at their group for retry).
   Status PumpPartials();
 
   std::vector<ShardGroup*> groups_;  // borrowed
+  // One thread per group: the groups drain in parallel, and the merge's
+  // survivor decryption fans out across the same threads.
+  ThreadPool pool_;
   FrontendStats merge_stats_;
   bool started_ = false;
 

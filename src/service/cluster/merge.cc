@@ -2,10 +2,10 @@
 
 namespace prochlo {
 
-Result<PipelineResult> HistogramMerge::Merge(uint64_t epoch,
-                                             const std::vector<EpochPartial>& partials) {
+Result<PipelineResult> HistogramMerge::Merge(uint64_t epoch, std::vector<EpochPartial>& partials,
+                                             ThreadPool* pool) {
   Rng noise_rng = DeriveEpochNoiseRng(config_.seed, epoch);
-  return pipeline_.MergePartials(partials, noise_rng);
+  return pipeline_.MergePartials(partials, noise_rng, pool);
 }
 
 }  // namespace prochlo

@@ -2,15 +2,18 @@
 // analyzer-facing histogram — bit-identical to what a serial single
 // frontend would have produced for the same epoch membership.
 //
-// Why this works (and what it must NOT do): thresholding, noise, and the
-// minimum-batch decision are functions of the WHOLE epoch, so per-group
-// histograms cannot simply be summed — a crowd split 12/8 across two groups
-// passes a T=20 threshold globally but would die in both halves.  Groups
-// therefore ship pre-threshold per-crowd value counts (EpochPartial), and
-// the batch-global stages run exactly once here, with the same
-// (seed, epoch)-derived noise RNG the serial drain uses, over crowds in the
-// same ascending-hash order.  See Pipeline::MergePartials for the replay
-// contract and its determinism caveats.
+// The merge is two-phase, mirroring ESA's shuffler/analyzer split.  The
+// groups are pure shufflers: each opens only the outer layer of its reports
+// and ships every crowd's inner boxes still encrypted (EpochPartial).
+// Thresholding, noise, and the minimum-batch decision are functions of the
+// WHOLE epoch — a crowd split 12/8 across two groups passes a T=20
+// threshold globally but would die in both halves — so they run exactly
+// once here, on summed crowd cardinalities, with the same (seed, epoch)
+// noise RNG the serial drain uses, over crowds in the same ascending-hash
+// order.  Only then does the merge act as the analyzer and decrypt the
+// survivors: a crowd below the threshold is never opened.  See
+// Pipeline::MergePartials for the replay contract and its determinism
+// caveats.
 #ifndef PROCHLO_SRC_SERVICE_CLUSTER_MERGE_H_
 #define PROCHLO_SRC_SERVICE_CLUSTER_MERGE_H_
 
@@ -30,8 +33,12 @@ class HistogramMerge {
 
   // Merges one epoch's partials (one per contributing group; order
   // irrelevant) into the final result.  The noise RNG is derived from
-  // (seed, epoch), exactly as the serial drain derives it.
-  Result<PipelineResult> Merge(uint64_t epoch, const std::vector<EpochPartial>& partials);
+  // (seed, epoch), exactly as the serial drain derives it.  The survivors'
+  // decryption fans out across `pool` when one is given.  On success the
+  // survivors' inner boxes have been moved out of `partials`; on error
+  // `partials` is untouched.
+  Result<PipelineResult> Merge(uint64_t epoch, std::vector<EpochPartial>& partials,
+                               ThreadPool* pool = nullptr);
 
  private:
   PipelineConfig config_;

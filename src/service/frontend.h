@@ -144,8 +144,8 @@ struct EpochResult {
 };
 
 // One epoch's pre-threshold contribution from this frontend (cluster mode):
-// per-crowd value counts, not a histogram — thresholding is global, so only
-// the merge step (HistogramMerge) may apply it.
+// per-crowd inner boxes, still encrypted — thresholding is global, so only
+// the merge step (HistogramMerge) may apply it, and it decrypts survivors.
 struct EpochPartialResult {
   uint64_t epoch = 0;
   size_t reports = 0;
@@ -259,8 +259,8 @@ class ShufflerFrontend {
   DrainReport DrainSealedEpochs();
 
   // Cluster-mode drain: pops the oldest sealed epoch and runs only the
-  // pipeline's open/decrypt stages, returning the epoch's pre-threshold
-  // partial (per-crowd value counts) for HistogramMerge to combine across
+  // shuffler's outer-layer open, returning the epoch's pre-threshold
+  // partial (per-crowd inner boxes) for HistogramMerge to combine across
   // groups.  nullopt when no sealed epoch is queued; on failure the epoch
   // is requeued intact, exactly like DrainSealedEpochs.  An empty sealed
   // epoch (a seal_if_empty alignment cut) yields an empty partial.

@@ -6,6 +6,7 @@
 #include "src/core/blind_shuffler.h"
 #include "src/core/encoder.h"
 #include "src/core/fragment.h"
+#include "src/core/pipeline.h"
 #include "src/core/report.h"
 #include "src/core/shuffler.h"
 
@@ -277,6 +278,68 @@ TEST(AnalyzerTest, MalformedPayloadsCounted) {
   std::vector<Bytes> payloads = {ToBytes("not a secret share encoding")};
   auto result = Analyzer::RecoverSecretShared(payloads, 2);
   EXPECT_EQ(result.malformed, 1u);
+}
+
+// The cluster merge is the analyzer: it thresholds on crowd cardinalities
+// summed across groups and opens only the survivors' inner boxes.
+TEST(PipelineMergeTest, MergeNeverOpensASubThresholdInnerBox) {
+  PipelineConfig config;
+  config.shuffler.threshold_mode = ThresholdMode::kNaive;
+  config.shuffler.policy = ThresholdPolicy{5, 0, 0};
+  config.seed = "merge-partials";
+  Pipeline pipeline(config);
+  const EcPoint analyzer_public = pipeline.MakeEncoder().config().analyzer_public;
+
+  // Hand-built group partials: valid inner boxes to the pipeline's analyzer,
+  // taken out of reports sealed to a shuffler key this test holds.
+  CoreFixture fx;
+  auto inner_box = [&](const std::string& value) {
+    CrowdPart crowd;
+    crowd.plain_hash = CrowdIdHash(value);
+    auto padded = PadPayload(ToBytes(value), 64);
+    Bytes report = SealReport(crowd, *padded, fx.shuffler_keys.public_key, analyzer_public,
+                              fx.rng);
+    auto view = OpenReport(fx.shuffler_keys, report);
+    EXPECT_TRUE(view.has_value());
+    return view->inner_box;
+  };
+  auto make_partial = [&](int popular, int rare) {
+    EpochPartial partial;
+    partial.reports = static_cast<uint64_t>(popular + rare);
+    for (int i = 0; i < popular; ++i) {
+      partial.crowds[CrowdIdHash("popular")].inner_boxes.push_back(inner_box("popular"));
+    }
+    for (int i = 0; i < rare; ++i) {
+      partial.crowds[CrowdIdHash("rare")].inner_boxes.push_back(inner_box("rare"));
+    }
+    return partial;
+  };
+  // "popular" is 3+3 = 6 >= T=5 only across the split; "rare" is 2+2 = 4.
+  std::vector<EpochPartial> partials;
+  partials.push_back(make_partial(3, 2));
+  partials.push_back(make_partial(3, 2));
+
+  // Below the minimum batch the merge fails and leaves the partials intact,
+  // so a caller can retry them.
+  PipelineConfig batching = config;
+  batching.shuffler.min_batch_size = 11;
+  Rng unused_noise(1);
+  EXPECT_FALSE(Pipeline(batching).MergePartials(partials, unused_noise).ok());
+  EXPECT_EQ(partials[0].crowds[CrowdIdHash("popular")].inner_boxes.size(), 3u);
+
+  Rng noise(1);
+  auto merged = pipeline.MergePartials(partials, noise);
+  ASSERT_TRUE(merged.ok()) << merged.error().message;
+  EXPECT_EQ(merged.value().histogram, (std::map<std::string, uint64_t>{{"popular", 6}}));
+  EXPECT_EQ(merged.value().shuffler_stats.forwarded, 6u);
+  EXPECT_EQ(merged.value().shuffler_stats.dropped_threshold, 4u);
+  // The analyzer was handed exactly the forwarded boxes, and the rare
+  // crowd's boxes were never taken out of the partials.
+  EXPECT_EQ(merged.value().analyzer_stats.received, 6u);
+  EXPECT_EQ(merged.value().analyzer_stats.undecryptable, 0u);
+  for (const EpochPartial& partial : partials) {
+    EXPECT_EQ(partial.crowds.at(CrowdIdHash("rare")).inner_boxes.size(), 2u);
+  }
 }
 
 TEST(FragmentTest, PairwiseFragments) {

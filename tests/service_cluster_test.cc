@@ -8,6 +8,7 @@
 // failing schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/core/pipeline.h"
@@ -28,6 +30,7 @@
 #include "src/service/connection.h"
 #include "src/service/frontend.h"
 #include "src/service/fs.h"
+#include "src/util/record_stream.h"
 #include "src/util/rng.h"
 
 namespace prochlo {
@@ -416,8 +419,10 @@ TEST(ServiceClusterTest, GroupMapAnnouncementIsAdoptedOnConnect) {
 // The acceptance scenario: for every group count, concurrent cluster
 // clients deliver the same waves, and the coordinator-merged per-epoch
 // histograms are bit-identical to the serial single-frontend run.
-TEST(ServiceClusterTest, MergedHistogramsMatchSerialForEveryGroupCount) {
+void ExpectMergedHistogramsMatchSerialForEveryGroupCount(ThresholdMode mode) {
   FrontendConfig base = ClusterBaseConfig();
+  base.pipeline.shuffler.threshold_mode = mode;
+  const std::string tag = "-mode" + std::to_string(static_cast<int>(mode));
 
   // Seal every wave once; every topology (and the serial baseline) ingests
   // the same sealed bytes.
@@ -432,13 +437,13 @@ TEST(ServiceClusterTest, MergedHistogramsMatchSerialForEveryGroupCount) {
       waves.push_back(std::move(batch).value());
     }
   }
-  ScratchDir serial_dir("cluster-e2e-serial");
+  ScratchDir serial_dir("cluster-e2e-serial" + tag);
   const auto expected = SerialBaseline(base, serial_dir.path, waves);
   ASSERT_EQ(expected.size(), waves.size());
 
   for (size_t num_groups : {1u, 2u, 4u}) {
     SCOPED_TRACE("groups=" + std::to_string(num_groups));
-    ScratchDir dir("cluster-e2e-" + std::to_string(num_groups));
+    ScratchDir dir("cluster-e2e-" + std::to_string(num_groups) + tag);
     std::vector<std::unique_ptr<ShardGroup>> owned;
     std::vector<ShardGroup*> groups;
     for (size_t g = 0; g < num_groups; ++g) {
@@ -507,6 +512,161 @@ TEST(ServiceClusterTest, MergedHistogramsMatchSerialForEveryGroupCount) {
     for (ShardGroup* group : groups) {
       ASSERT_TRUE(group->Stop().ok());
     }
+  }
+}
+
+TEST(ServiceClusterTest, MergedHistogramsMatchSerialForEveryGroupCount) {
+  for (ThresholdMode mode : {ThresholdMode::kNaive, ThresholdMode::kNone}) {
+    SCOPED_TRACE("threshold_mode=" + std::to_string(static_cast<int>(mode)));
+    ExpectMergedHistogramsMatchSerialForEveryGroupCount(mode);
+  }
+}
+
+// ---------------------------------------------- threshold before decrypt
+
+// ESA's trust split, held across the cluster: the groups are pure
+// shufflers and ship only ciphertext, and the merge thresholds on summed
+// crowd counts before it decrypts.  The wave's "-rare" crowd (4 < T=20
+// reports) holds valid inner boxes that must never be opened.
+TEST(ServiceClusterTest, MergeNeverOpensASubThresholdInnerBox) {
+  FrontendConfig base = ClusterBaseConfig();
+  std::vector<Bytes> sealed;
+  {
+    ShufflerFrontend key_holder(base);
+    const Encoder encoder = key_holder.MakeEncoder();
+    SecureRandom client_rng(ToBytes("cluster-privacy-clients"));
+    auto batch = encoder.BatchSealReports(WaveInputs(0), client_rng);
+    ASSERT_TRUE(batch.ok());
+    sealed = std::move(batch).value();
+  }
+  ScratchDir serial_dir("cluster-privacy-serial");
+  const auto expected = SerialBaseline(base, serial_dir.path, {sealed});
+  ASSERT_EQ(expected.size(), 1u);
+
+  for (size_t num_groups : {1u, 2u, 4u}) {
+    SCOPED_TRACE("groups=" + std::to_string(num_groups));
+    ScratchDir dir("cluster-privacy-" + std::to_string(num_groups));
+    std::vector<std::unique_ptr<ShardGroup>> owned;
+    std::vector<ShardGroup*> groups;
+    for (size_t g = 0; g < num_groups; ++g) {
+      owned.push_back(MakeGroup(g + 1, dir.path, base));
+      groups.push_back(owned.back().get());
+      ASSERT_TRUE(groups.back()->Start().ok());
+    }
+    // Round-robin: every crowd is scattered across the groups.
+    for (size_t i = 0; i < sealed.size(); ++i) {
+      ASSERT_TRUE(groups[i % num_groups]->frontend().AcceptReport(sealed[i]).ok());
+    }
+    EpochCoordinator coordinator(groups);
+    ASSERT_TRUE(coordinator.CutEpochAll().ok());
+
+    std::vector<EpochPartial> partials;
+    uint64_t shipped_reports = 0;
+    for (ShardGroup* group : groups) {
+      auto drained = group->frontend().DrainNextEpochPartial();
+      ASSERT_TRUE(drained.ok()) << drained.error().message;
+      ASSERT_TRUE(drained.value().has_value());
+      for (const auto& [crowd_hash, crowd] : drained.value()->partial.crowds) {
+        EXPECT_TRUE(crowd.value_counts.empty())
+            << "group " << group->group_id() << " shipped plaintext";
+      }
+      shipped_reports += drained.value()->partial.reports;
+      partials.push_back(std::move(drained.value()->partial));
+    }
+    EXPECT_EQ(shipped_reports, sealed.size());
+
+    HistogramMerge merge(base.pipeline);
+    auto merged = merge.Merge(/*epoch=*/0, partials);
+    ASSERT_TRUE(merged.ok()) << merged.error().message;
+    const PipelineResult& result = merged.value();
+    EXPECT_EQ(result.histogram, expected.at(0));  // bit-identical to serial
+    EXPECT_EQ(result.shuffler_stats.dropped_threshold, 4u);  // the rare crowd
+    // The analyzer opened the forwarded reports and nothing else.
+    EXPECT_EQ(result.analyzer_stats.received, result.shuffler_stats.forwarded);
+    EXPECT_EQ(result.shuffler_stats.forwarded, sealed.size() - 4);
+    for (ShardGroup* group : groups) {
+      ASSERT_TRUE(group->Stop().ok());
+    }
+  }
+}
+
+// Under kRandomized, a crowd that loses members to noise keeps its
+// smallest ciphertexts, so the merged result is a function of the report
+// set alone — however the reports were split across groups and in whatever
+// order the partials arrive — even for a crowd that mixes values and holds
+// an inner box the analyzer cannot open.
+TEST(ServiceClusterTest, RandomizedMergeIsIndependentOfTheSplit) {
+  FrontendConfig base = ClusterBaseConfig();
+  base.pipeline.shuffler.threshold_mode = ThresholdMode::kRandomized;
+  Pipeline shuffler_side(base.pipeline);  // RunReportsPartial draws no randomness
+  const Encoder encoder = shuffler_side.MakeEncoder();
+  SecureRandom client_rng(ToBytes("cluster-randomized-clients"));
+  std::vector<std::pair<std::string, std::string>> inputs = WaveInputs(0);
+  const std::vector<std::pair<std::string, int>> mixed{
+      {"mixed-a", 14}, {"mixed-b", 12}, {"mixed-c", 10}};
+  for (const auto& [value, count] : mixed) {
+    for (int i = 0; i < count; ++i) {
+      inputs.emplace_back("mixed", value);
+    }
+  }
+  auto batch = encoder.BatchSealReports(inputs, client_rng);
+  ASSERT_TRUE(batch.ok());
+  std::vector<Bytes> reports = std::move(batch).value();
+  // The mixed crowd's 37th member: its outer layer opens, its inner box is
+  // sealed to a stranger's analyzer key.
+  EncoderConfig stranger = encoder.config();
+  stranger.analyzer_public = KeyPair::Generate(client_rng).public_key;
+  auto undecryptable = Encoder(stranger).EncodeValue("mixed-a", "mixed", client_rng);
+  ASSERT_TRUE(undecryptable.ok());
+  reports.push_back(std::move(undecryptable).value());
+
+  HistogramMerge merge(base.pipeline);
+  auto merge_split = [&](const std::vector<Bytes>& order, size_t num_groups,
+                         bool reverse_partials) {
+    std::vector<std::vector<Bytes>> shares(num_groups);
+    for (size_t i = 0; i < order.size(); ++i) {
+      shares[i % num_groups].push_back(order[i]);
+    }
+    std::vector<EpochPartial> partials;
+    for (const auto& share : shares) {
+      VectorRecordStream stream(share);
+      auto partial = shuffler_side.RunReportsPartial(stream);
+      EXPECT_TRUE(partial.ok());
+      partials.push_back(std::move(partial).value());
+    }
+    if (reverse_partials) {
+      std::reverse(partials.begin(), partials.end());
+    }
+    auto merged = merge.Merge(/*epoch=*/3, partials);
+    EXPECT_TRUE(merged.ok());
+    return std::move(merged).value();
+  };
+
+  const PipelineResult reference = merge_split(reports, 1, false);
+  EXPECT_GT(reference.shuffler_stats.dropped_noise, 0u);
+  // The mixed crowd (37 members) survived the threshold but lost members
+  // to noise, so which of them survive is actually being decided.
+  uint64_t mixed_survivors = reference.analyzer_stats.undecryptable;
+  for (const auto& [value, count] : mixed) {
+    auto it = reference.histogram.find(value);
+    mixed_survivors += it != reference.histogram.end() ? it->second : 0;
+  }
+  EXPECT_GE(mixed_survivors, 20u);
+  EXPECT_LT(mixed_survivors, 37u);
+
+  std::vector<Bytes> permuted = reports;
+  Rng permutation(0x5045524d);
+  permutation.Shuffle(permuted);
+  for (const auto& [order, num_groups, reverse] :
+       {std::tuple{&reports, 2u, false}, std::tuple{&reports, 4u, false},
+        std::tuple{&permuted, 4u, true}, std::tuple{&permuted, 2u, true}}) {
+    SCOPED_TRACE("groups=" + std::to_string(num_groups) +
+                 (order == &permuted ? " permuted" : "") + (reverse ? " reversed" : ""));
+    const PipelineResult split = merge_split(*order, num_groups, reverse);
+    EXPECT_EQ(split.histogram, reference.histogram);
+    EXPECT_EQ(split.shuffler_stats.forwarded, reference.shuffler_stats.forwarded);
+    EXPECT_EQ(split.shuffler_stats.dropped_noise, reference.shuffler_stats.dropped_noise);
+    EXPECT_EQ(split.analyzer_stats.undecryptable, reference.analyzer_stats.undecryptable);
   }
 }
 

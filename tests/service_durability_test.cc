@@ -714,7 +714,17 @@ TEST(ServiceDurabilityTest, SpoolWriteFailureNacksRetryableUntilHealed) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(client.stats().acked, 0u);
-  EXPECT_EQ(rig.frontend.stats().reports_accepted.load(), 0u);
+  // The client keeps retrying while the disk is down, and each retry counts
+  // as accepted from its WAL append until its failed group commit rolls it
+  // back.  Nothing may stay accepted, so wait for an instant with no retry
+  // in flight instead of racing one.
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  uint64_t accepted = rig.frontend.stats().reports_accepted.load();
+  while (accepted != 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    accepted = rig.frontend.stats().reports_accepted.load();
+  }
+  EXPECT_EQ(accepted, 0u);
   EXPECT_GT(fault.write_faults(), 0u);
 
   fault.FailWrites(false);  // the disk heals
