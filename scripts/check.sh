@@ -97,7 +97,7 @@ if [[ -n "$SANITIZE" ]]; then
   # CI); skip the bench smoke, whose timings are meaningless under
   # sanitizers.  PROCHLO_NETWORK_SEED pins the fault-injection schedule; CI
   # leaves it at the suite's default so failures reproduce locally.
-  for threads in 0 4; do
+  for threads in 0 4 default; do
     echo "-- sanitized, PROCHLO_STASH_THREADS=$threads --"
     PROCHLO_STASH_THREADS="$threads" \
       ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'service_test|service_runtime_test|service_network_test|service_durability_test|service_cluster_test|service_wal_test|wire_format_test'
@@ -108,8 +108,9 @@ fi
 
 echo "== service thread matrix =="
 # The ingestion-tier suites re-run pinned to each worker count: the epoch
-# drain must be bit-identical sequential and threaded.
-for threads in 0 4; do
+# drain must be bit-identical sequential, on a private 4-worker pool, and on
+# the process pool (`default`: num_threads left unset).
+for threads in 0 4 default; do
   echo "-- PROCHLO_STASH_THREADS=$threads --"
   PROCHLO_STASH_THREADS="$threads" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'service_test|service_runtime_test|service_network_test|service_durability_test|service_cluster_test|service_wal_test|wire_format_test'

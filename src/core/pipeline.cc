@@ -1,6 +1,7 @@
 #include "src/core/pipeline.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <iterator>
 
@@ -10,13 +11,21 @@ namespace {
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
+
+// Inputs per forked client DRBG in Run's encode: a fixed split, so the
+// sealed reports depend on the seed alone, never on the pool size.
+constexpr size_t kEncodeChunk = 256;
 }  // namespace
 
 Pipeline::Pipeline(const PipelineConfig& config)
     : config_(config),
       rng_(ToBytes(config.seed)),
       noise_rng_(CrowdIdHash(config.seed + "-noise")),
-      pool_(config.num_threads > 0 ? std::make_unique<ThreadPool>(config.num_threads) : nullptr),
+      owned_pool_(config.num_threads != 0 && config.num_threads != kProcessPoolThreads
+                      ? std::make_unique<ThreadPool>(config.num_threads)
+                      : nullptr),
+      pool_(config.num_threads == kProcessPoolThreads ? &ThreadPool::Process()
+                                                       : owned_pool_.get()),
       analyzer_(KeyPair::Generate(rng_)) {
   if (config_.use_blinded_crowd_ids) {
     blind_pair_.emplace(rng_, config_.shuffler);
@@ -41,53 +50,44 @@ Encoder Pipeline::MakeEncoder() const {
   return Encoder(encoder_config);
 }
 
-Result<PipelineResult> Pipeline::Run(
+Result<std::vector<Bytes>> Pipeline::Encode(
     const std::vector<std::pair<std::string, std::string>>& inputs) {
-  // ---- Encode (clients) ----
-  auto t0 = std::chrono::steady_clock::now();
+  // One shared Encoder holds the immutable key/config state; each chunk of
+  // inputs forks only an independent DRBG, as each client has its own.
+  const Encoder encoder = MakeEncoder();
+  const size_t chunks = (inputs.size() + kEncodeChunk - 1) / kEncodeChunk;
+  std::vector<SecureRandom> rngs;
+  rngs.reserve(chunks);
+  for (size_t c = 0; c < chunks; ++c) {
+    rngs.emplace_back(rng_.RandomBytes(32));
+  }
   std::vector<Bytes> reports(inputs.size());
-  std::vector<uint8_t> failed(inputs.size(), 0);
-  {
-    // One shared Encoder holds the immutable key/config state; each worker
-    // forks only an independent DRBG, as each client has its own.
-    const Encoder encoder = MakeEncoder();
-    size_t workers = pool_ != nullptr ? pool_->num_threads() : 1;
-    std::vector<SecureRandom> rngs;
-    for (size_t w = 0; w < workers; ++w) {
-      rngs.emplace_back(SecureRandom(rng_.RandomBytes(32)));
-    }
-    size_t per_worker = (inputs.size() + workers - 1) / workers;
-    auto encode_range = [&](size_t w) {
-      size_t begin = w * per_worker;
-      size_t end = std::min(inputs.size(), begin + per_worker);
-      for (size_t i = begin; i < end; ++i) {
-        auto report = encoder.EncodeValue(inputs[i].second, inputs[i].first, rngs[w]);
-        if (report.ok()) {
-          reports[i] = std::move(report).value();
-        } else {
-          failed[i] = 1;
-        }
+  std::atomic<bool> failed{false};
+  ParallelFor(pool_, chunks, [&](size_t c) {
+    const size_t end = std::min(inputs.size(), (c + 1) * kEncodeChunk);
+    for (size_t i = c * kEncodeChunk; i < end; ++i) {
+      auto report = encoder.EncodeValue(inputs[i].second, inputs[i].first, rngs[c]);
+      if (report.ok()) {
+        reports[i] = std::move(report).value();
+      } else {
+        failed = true;
       }
-    };
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(workers, encode_range);
-    } else {
-      encode_range(0);
     }
-  }
-  std::vector<Bytes> valid_reports;
-  valid_reports.reserve(reports.size());
-  for (size_t i = 0; i < reports.size(); ++i) {
-    if (failed[i] == 0) {
-      valid_reports.push_back(std::move(reports[i]));
-    }
-  }
-  if (valid_reports.size() != inputs.size()) {
+  });
+  if (failed) {
     return Error{"some inputs could not be encoded (payload_size too small?)"};
   }
+  return reports;
+}
 
-  // ---- Shuffle + threshold + analyze ----
-  VectorRecordStream stream(valid_reports);
+Result<PipelineResult> Pipeline::Run(
+    const std::vector<std::pair<std::string, std::string>>& inputs) {
+  auto t0 = std::chrono::steady_clock::now();
+  auto reports = Encode(inputs);
+  if (!reports.ok()) {
+    return reports.error();
+  }
+  VectorRecordStream stream(reports.value());
   auto result = RunReports(stream, rng_, noise_rng_);
   if (result.ok()) {
     // Fold the encode stage into the first stage's wall-clock split.
@@ -111,7 +111,7 @@ Result<PipelineResult> Pipeline::RunReports(RecordStream& reports, SecureRandom&
     while (auto record = reports.Next()) {
       batch.push_back(std::move(*record));
     }
-    auto stage1 = blind_pair_->ProcessBatch(batch, rng, noise_rng, pool_.get());
+    auto stage1 = blind_pair_->ProcessBatch(batch, rng, noise_rng, pool_);
     result.encode_shuffle1_seconds = SecondsSince(t0);
     if (!stage1.ok()) {
       return stage1.error();
@@ -123,7 +123,7 @@ Result<PipelineResult> Pipeline::RunReports(RecordStream& reports, SecureRandom&
     // by re-measuring: the split is provided by the Vocab timing bench
     // (which drives the stages separately for Table 3).
   } else {
-    auto shuffled = shuffler_->ProcessStream(reports, rng, noise_rng, pool_.get());
+    auto shuffled = shuffler_->ProcessStream(reports, rng, noise_rng, pool_);
     result.encode_shuffle1_seconds = SecondsSince(t0);
     if (!shuffled.ok()) {
       return shuffled.error();
@@ -135,7 +135,7 @@ Result<PipelineResult> Pipeline::RunReports(RecordStream& reports, SecureRandom&
   // ---- Analyze ----
   auto t2 = std::chrono::steady_clock::now();
   std::vector<Bytes> payloads =
-      analyzer_.DecryptBatch(inner_boxes, pool_.get());  // lint:allow(analyzer-open)
+      analyzer_.DecryptBatch(inner_boxes, pool_);  // lint:allow(analyzer-open)
   if (config_.secret_share_threshold.has_value()) {
     auto recovered =
         Analyzer::RecoverSecretShared(payloads, *config_.secret_share_threshold);
@@ -162,7 +162,7 @@ Result<EpochPartial> Pipeline::RunReportsPartial(RecordStream& reports) {
   }
   EpochPartial partial;
   partial.reports = reports.size();
-  auto views = shuffler_->OpenStream(reports, pool_.get());
+  auto views = shuffler_->OpenStream(reports, pool_);
   if (!views.ok()) {
     return views.error();
   }
@@ -174,7 +174,7 @@ Result<EpochPartial> Pipeline::RunReportsPartial(RecordStream& reports) {
 }
 
 Result<PipelineResult> Pipeline::MergePartials(std::vector<EpochPartial>& partials,
-                                               Rng& noise_rng, ThreadPool* pool) {
+                                               Rng& noise_rng) {
   if (config_.use_blinded_crowd_ids) {
     return Error{
         "partial merge requires plain-hash crowd IDs "
@@ -243,9 +243,8 @@ Result<PipelineResult> Pipeline::MergePartials(std::vector<EpochPartial>& partia
   }
 
   // Crowd IDs stop here: the analyzer gets a flat batch of inner boxes.
-  ThreadPool* decrypt_pool = pool != nullptr ? pool : pool_.get();
   std::vector<Bytes> payloads =
-      analyzer_.DecryptBatch(forwarded, decrypt_pool);  // lint:allow(analyzer-open)
+      analyzer_.DecryptBatch(forwarded, pool_);  // lint:allow(analyzer-open)
   result.analyzer_stats.received = forwarded.size();
   result.analyzer_stats.undecryptable = forwarded.size() - payloads.size();
   if (config_.secret_share_threshold.has_value()) {

@@ -22,6 +22,9 @@
 
 namespace prochlo {
 
+// PipelineConfig::num_threads value that borrows ThreadPool::Process().
+inline constexpr size_t kProcessPoolThreads = static_cast<size_t>(-1);
+
 struct PipelineConfig {
   // Single shuffler (plain-hash crowd IDs) or the §4.3 two-shuffler split.
   bool use_blinded_crowd_ids = false;
@@ -30,8 +33,13 @@ struct PipelineConfig {
   // (§5.2 sets both to 20).
   std::optional<uint32_t> secret_share_threshold;
   size_t payload_size = 64;
-  // Worker threads for the crypto-heavy stages (0 = sequential).
-  size_t num_threads = 0;
+  // Worker threads for the crypto-heavy stages.  The default borrows the
+  // process-wide pool (ThreadPool::Process()), so every drain in the
+  // process shares one set of CPU workers; 0 runs sequentially (the test
+  // oracle); any other N gives this pipeline a private pool of N workers
+  // (the determinism tests' and benches' thread axis).  Results do not
+  // depend on the choice.
+  size_t num_threads = kProcessPoolThreads;
   // Deterministic seed for all pipeline randomness.
   std::string seed = "prochlo-pipeline";
 };
@@ -80,8 +88,16 @@ class Pipeline {
   // one; they are stateless and shareable).
   Encoder MakeEncoder() const;
 
-  // Runs the full pipeline over (crowd_id, value) client inputs.
-  // With secret-share encoding configured, the value is share-encoded.
+  // The client side of Run: seals every (crowd_id, value) input, in input
+  // order.  Each fixed-size chunk of inputs gets its own DRBG forked from
+  // the pipeline's, so the reports depend on the seed alone — never on
+  // num_threads.
+  Result<std::vector<Bytes>> Encode(
+      const std::vector<std::pair<std::string, std::string>>& inputs);
+
+  // Runs the full pipeline over (crowd_id, value) client inputs: Encode,
+  // then RunReports.  With secret-share encoding configured, the value is
+  // share-encoded.
   Result<PipelineResult> Run(const std::vector<std::pair<std::string, std::string>>& inputs);
 
   // Convenience: crowd ID = value (the Vocab arrangement).
@@ -115,23 +131,23 @@ class Pipeline {
   // crowd-hash order — ThresholdAndStrip's order over the union of reports
   // — so with the serial drain's epoch-derived `noise_rng` each crowd
   // consumes the same noise draw.  Only then are crowd IDs stripped and the
-  // survivors' inner boxes decrypted (on `pool`, else the pipeline's own),
-  // so a crowd below the threshold is never opened.  Within a crowd that
-  // loses members to noise, survivors are taken in ascending ciphertext
-  // order, so the result depends only on the report set — never on group
-  // count, split, or partial order.  It is bit-identical to the serial
+  // survivors' inner boxes decrypted (on the pipeline's pool), so a crowd
+  // below the threshold is never opened.  Within a crowd that loses
+  // members to noise, survivors are taken in ascending ciphertext order,
+  // so the result depends only on the report set — never on group count,
+  // split, or partial order.  It is bit-identical to the serial
   // drain under kNone/kNaive, and under kRandomized when each crowd maps to
   // one value (the serial drain drops from its shuffled tail instead).
   // On success the survivors' inner boxes are moved out of `partials`; on
   // error `partials` is untouched, so the caller can retry.
-  Result<PipelineResult> MergePartials(std::vector<EpochPartial>& partials, Rng& noise_rng,
-                                       ThreadPool* pool = nullptr);
+  Result<PipelineResult> MergePartials(std::vector<EpochPartial>& partials, Rng& noise_rng);
 
  private:
   PipelineConfig config_;
   SecureRandom rng_;
   Rng noise_rng_;
-  std::unique_ptr<ThreadPool> pool_;  // null when sequential
+  std::unique_ptr<ThreadPool> owned_pool_;  // set only for an explicit num_threads
+  ThreadPool* pool_;                        // owned_pool_, the process pool, or null
   std::optional<Shuffler> shuffler_;
   std::optional<BlindShufflerPair> blind_pair_;
   Analyzer analyzer_;

@@ -3,7 +3,7 @@
 namespace prochlo {
 
 EpochCoordinator::EpochCoordinator(std::vector<ShardGroup*> groups)
-    : groups_(std::move(groups)), pool_(groups_.size()) {}
+    : groups_(std::move(groups)) {}
 
 EpochCoordinator::~EpochCoordinator() { Stop(); }
 
@@ -14,7 +14,7 @@ void EpochCoordinator::Start() {
   started_ = true;
   for (ShardGroup* group : groups_) {
     // Lock-light nudge: the seal path only flips a condition variable; the
-    // actual drain runs on the coordinator's pool, driven by MergeEpoch.
+    // actual drain runs on the process pool, driven by MergeEpoch.
     group->frontend().SetSealListener([this] {
       MutexLock lock(mu_);
       seal_cv_.NotifyAll();
@@ -58,7 +58,9 @@ Status EpochCoordinator::CutEpochAll() {
 
 Status EpochCoordinator::PumpPartials() {
   std::vector<Status> errors(groups_.size());
-  pool_.ParallelFor(groups_.size(), [&](size_t g) {
+  // Each group's drain nests its outer opens on the same pool; ParallelFor
+  // is nest-safe, so the groups and their opens share one set of workers.
+  ThreadPool::Process().ParallelFor(groups_.size(), [&](size_t g) {
     ShardGroup* group = groups_[g];
     for (;;) {
       auto drained = group->frontend().DrainNextEpochPartial();
@@ -140,7 +142,7 @@ Result<ClusterEpochResult> EpochCoordinator::MergeEpoch(uint64_t epoch, Histogra
     total_reports += partial.reports;
     merge_inputs.push_back(std::move(partial));
   }
-  auto merged = merge.Merge(epoch, merge_inputs, &pool_);
+  auto merged = merge.Merge(epoch, merge_inputs);
   if (!merged.ok()) {
     // e.g. the epoch union is below the minimum batch: put the partials
     // back so a later MergeEpoch (after more groups contribute, or with the

@@ -4,12 +4,13 @@
 // accounted, never silently dropped.
 //
 //   groups seal epoch e ──listener nudge──► PumpPartials: one drain per group,
-//                                           in parallel on the coordinator's
-//                                           pool (outer opens only; each
+//                                           in parallel on the process pool,
+//                                           each nesting its outer opens on
+//                                           it (outer opens only; each
 //                                           partial is per-crowd ciphertext)
 //                                               │  all N buffered for e?
 //                                               ▼
-//                              HistogramMerge::Merge(e, partials, &pool):
+//                              HistogramMerge::Merge(e, partials):
 //                              threshold on summed crowd counts, then
 //                              decrypt only the survivors, on the same pool
 //
@@ -77,15 +78,12 @@ class EpochCoordinator {
   FrontendStats& merge_stats() { return merge_stats_; }
 
  private:
-  // Drains every group's sealed epochs into partials_, one group per pool
-  // thread; returns the first drain error in group order (failed epochs
-  // stay requeued at their group for retry).
+  // Drains every group's sealed epochs into partials_, the groups in
+  // parallel on ThreadPool::Process(); returns the first drain error in
+  // group order (failed epochs stay requeued at their group for retry).
   Status PumpPartials();
 
   std::vector<ShardGroup*> groups_;  // borrowed
-  // One thread per group: the groups drain in parallel, and the merge's
-  // survivor decryption fans out across the same threads.
-  ThreadPool pool_;
   FrontendStats merge_stats_;
   bool started_ = false;
 

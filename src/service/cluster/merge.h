@@ -34,11 +34,10 @@ class HistogramMerge {
   // Merges one epoch's partials (one per contributing group; order
   // irrelevant) into the final result.  The noise RNG is derived from
   // (seed, epoch), exactly as the serial drain derives it.  The survivors'
-  // decryption fans out across `pool` when one is given.  On success the
-  // survivors' inner boxes have been moved out of `partials`; on error
-  // `partials` is untouched.
-  Result<PipelineResult> Merge(uint64_t epoch, std::vector<EpochPartial>& partials,
-                               ThreadPool* pool = nullptr);
+  // decryption fans out on the merge pipeline's pool (by default the
+  // process pool).  On success the survivors' inner boxes have been moved
+  // out of `partials`; on error `partials` is untouched.
+  Result<PipelineResult> Merge(uint64_t epoch, std::vector<EpochPartial>& partials);
 
  private:
   PipelineConfig config_;

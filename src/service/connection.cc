@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 
@@ -225,8 +226,18 @@ Result<std::unique_ptr<ByteStream>> TcpConnect(const std::string& address, uint1
 
 // ---------------------------------------------------------------- AckRegistry
 
-AckRegistry::Claim AckRegistry::TryClaim(uint64_t session_id, uint64_t seq) {
+AckRegistry::Claim AckRegistry::TryClaim(uint64_t session_id, uint64_t seq,
+                                         uint64_t connection) {
   MutexLock lock(mu_);
+  if (connection != 0) {
+    // Checked under the same lock as the claim, so a claim either lands
+    // before a newer connection's HELLO (and is deduplicated as in-flight
+    // or durable) or is fenced — never claimed after that HELLO.
+    auto fence = fences_.find(session_id);
+    if (fence != fences_.end() && fence->second > connection) {
+      return Claim::kFenced;
+    }
+  }
   if (tombstones_.count(session_id) != 0) {
     // Evicted: the sparse state that could deduplicate this seq is gone.
     // Admitting the claim would risk silent re-ingestion, so the client is
@@ -338,6 +349,19 @@ void AckRegistry::Terminate(uint64_t session_id) {
   if (wal_ != nullptr && !wal_->AppendGoodbye(session_id).ok()) {
     session_record_failures_.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void AckRegistry::Fence(uint64_t session_id, uint64_t connection) {
+  MutexLock lock(mu_);
+  uint64_t& newest = fences_[session_id];
+  newest = std::max(newest, connection);
+}
+
+void AckRegistry::PruneFences(uint64_t oldest_live) {
+  MutexLock lock(mu_);
+  // A fence at f trips only connections numbered below f; once every such
+  // connection has finished (f <= oldest_live) it can never trip again.
+  std::erase_if(fences_, [oldest_live](const auto& entry) { return entry.second <= oldest_live; });
 }
 
 void AckRegistry::set_max_sessions(size_t max_sessions) {
@@ -464,7 +488,15 @@ void FrameConnection::StopWriter() {
 void FrameConnection::DispatchAckedReport(Frame frame) {
   const uint64_t session = session_id_;
   const uint64_t seq = frame.seq;
-  switch (registry_->TryClaim(session, seq)) {
+  switch (registry_->TryClaim(session, seq, serial_)) {
+    case AckRegistry::Claim::kFenced: {
+      // A newer connection spoke for this session, so this one is dead to
+      // its client: nobody reads a response here, and the report was
+      // re-sent on the newer connection.  Drop it unclaimed.
+      MutexLock lock(out_mu_);
+      book_.fenced++;
+      return;
+    }
     case AckRegistry::Claim::kDuplicate: {
       // Already durable: the ack was lost with an earlier connection.
       // Re-ack without re-ingesting — this is the exactly-once half of the
@@ -568,6 +600,9 @@ Status FrameConnection::HandleFrame(Frame frame) {
       // reports while acking them.
       helloed_ = registry_ != nullptr && frame.seq != 0;
       session_id_ = frame.seq;
+      if (helloed_) {
+        registry_->Fence(session_id_, serial_);
+      }
       if (helloed_ && group_map_provider_) {
         // Announce the topology up front so the client can route before it
         // has made (and been redirected for) its first mistake.
@@ -708,12 +743,14 @@ void FrameServer::Serve(std::unique_ptr<ByteStream> stream) {
   if (shut_down_) {
     return;
   }
+  raw->serial = next_serial_++;
+  live_serials_.insert(raw->serial);
   // The hooks are copied under the same lock that registers the
   // connection, so each connection keeps the hooks it started with even if
   // the setters race later Serves.
   raw->thread = std::thread([this, raw, route_check = route_check_,
                              group_map_provider = group_map_provider_]() mutable {
-    FrameConnection connection(raw->stream.get(), sink_, async_sink_, &registry_);
+    FrameConnection connection(raw->stream.get(), sink_, async_sink_, &registry_, raw->serial);
     if (route_check) {
       connection.set_route_check(std::move(route_check));
     }
@@ -746,8 +783,21 @@ void FrameServer::Serve(std::unique_ptr<ByteStream> stream) {
     // a sink error, this closes the connection and unblocks a peer still
     // writing into it, rather than holding it open until Shutdown.
     raw->stream.reset();
+    RetireSerial(raw->serial);
   });
   served_.push_back(std::move(served));
+}
+
+void FrameServer::RetireSerial(uint64_t serial) {
+  uint64_t oldest_live = 0;
+  {
+    MutexLock lock(mu_);
+    live_serials_.erase(serial);
+    oldest_live = live_serials_.empty() ? next_serial_ : *live_serials_.begin();
+  }
+  // Outside mu_: connections served meanwhile are numbered >= oldest_live,
+  // so the bound stays safe.
+  registry_.PruneFences(oldest_live);
 }
 
 Status FrameServer::Shutdown() {

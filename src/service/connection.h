@@ -122,6 +122,16 @@ Result<std::unique_ptr<ByteStream>> TcpConnect(const std::string& address, uint1
 // session's durable-but-unacked reports come back under a fresh session and
 // ingest again, so the cap should comfortably exceed the live client count.
 //
+// Connections are fenced per session.  A server numbers its connections in
+// accept order; a HELLO on connection c records c as the session's newest
+// connection (Fence), and from then on report claims from any connection
+// accepted before c answer kFenced.  The fence outlives the session's
+// goodbye: a dead connection's buffered frames are often pumped late —
+// after the client reconnected, finished, and said goodbye, which erased
+// the session — and without the fence they would be claimed as a
+// brand-new session and ingested twice.  Fences are not durable: a restart
+// ends every connection they could trip.
+//
 // Durability comes from an attached IngestWal (AttachWal; without one the
 // registry is memory-only).  The report and its (session, seq) commit are
 // ONE record in ONE log, appended and fsynced atomically by the WAL's group
@@ -146,9 +156,14 @@ class AckRegistry {
     // saturated (seq == UINT64_MAX is rejected so the watermark can never
     // wrap).  The client must re-hello with a fresh session id.
     kSessionExpired,
+    // The claiming connection is older than the session's newest HELLO
+    // (see the class comment): drop the report unclaimed.
+    kFenced,
   };
 
-  Claim TryClaim(uint64_t session_id, uint64_t seq);
+  // `connection` is the claiming connection's accept-order number; 0 (an
+  // unnumbered connection) is never fenced.
+  Claim TryClaim(uint64_t session_id, uint64_t seq, uint64_t connection = 0);
   void Commit(uint64_t session_id, uint64_t seq);
   void Release(uint64_t session_id, uint64_t seq);
 
@@ -156,6 +171,13 @@ class AckRegistry {
   // session's entire state — watermark, sparse set, tombstone, everything.
   // Idempotent; unknown sessions are a no-op (the ACK still goes out).
   void Terminate(uint64_t session_id);
+
+  // Records a HELLO for the session on `connection`, fencing every
+  // connection accepted before it (see the class comment).
+  void Fence(uint64_t session_id, uint64_t connection);
+  // Drops the fences no live connection can trip, given that every
+  // connection numbered below `oldest_live` has finished.
+  void PruneFences(uint64_t oldest_live);
 
   // 0 = unbounded.  Takes effect on the next admission; shrinking the cap
   // does not evict retroactively.
@@ -199,6 +221,9 @@ class AckRegistry {
   // answer kSessionExpired.  Entries are small (16 bytes) and dropped by a
   // goodbye; they are the price of never silently re-ingesting.
   std::unordered_map<uint64_t, uint64_t> tombstones_ GUARDED_BY(mu_);
+  // Session -> the newest connection that sent it a HELLO.
+  // Survives Terminate, so a stale connection cannot revive the session.
+  std::unordered_map<uint64_t, uint64_t> fences_ GUARDED_BY(mu_);
   size_t max_sessions_ GUARDED_BY(mu_) = 0;  // 0 = unbounded
   uint64_t lru_clock_ GUARDED_BY(mu_) = 0;
   // Borrowed; null = memory-only dedup.  Attached once before serving, then
@@ -210,13 +235,17 @@ class AckRegistry {
 
 // One connection's acknowledgment ledger.  The balance invariant the
 // network tests pin: every valid report frame received on an ack-protocol
-// connection gets exactly one response, so
-//   stats().frames_report == acked + nacked + duplicates_suppressed
+// connection gets exactly one response, or is dropped because the
+// connection was fenced, so
+//   stats().frames_report == acked + nacked + duplicates_suppressed + fenced
 // and `acked` equals the reports this connection durably ingested.
 struct ConnectionAckBook {
   uint64_t acked = 0;                  // first-time durable ingests ACKed
   uint64_t nacked = 0;                 // ingest failures / in-flight races NACKed
   uint64_t duplicates_suppressed = 0;  // retries of durable seqs re-ACKed
+  // Report frames dropped unclaimed, without a response, because a newer
+  // connection had already spoken for the session (AckRegistry::kFenced).
+  uint64_t fenced = 0;
   // Of `nacked`, how many told the client its session state is gone
   // (kSessionExpired: evicted, terminated, or seq space saturated).
   uint64_t expired_nacked = 0;
@@ -226,8 +255,7 @@ struct ConnectionAckBook {
   // released, never committed — the owning group's ingest is the one that
   // ACKs.
   uint64_t redirects_sent = 0;
-  // kGoodbye frames acknowledged.  Kept outside the report balance: the
-  // invariant frames_report == acked + nacked + duplicates_suppressed
+  // kGoodbye frames acknowledged.  Kept outside the report balance, which
   // still holds exactly.
   uint64_t goodbyes_acked = 0;
   // Responses that could not be written (the connection died first).  The
@@ -239,6 +267,7 @@ struct ConnectionAckBook {
     acked += other.acked;
     nacked += other.nacked;
     duplicates_suppressed += other.duplicates_suppressed;
+    fenced += other.fenced;
     expired_nacked += other.expired_nacked;
     redirects_sent += other.redirects_sent;
     goodbyes_acked += other.goodbyes_acked;
@@ -291,12 +320,15 @@ class FrameConnection {
 
   FrameConnection(ByteStream* stream, ReportSink sink)
       : FrameConnection(stream, std::move(sink), nullptr, nullptr) {}
+  // `serial` is the connection's accept-order number for fencing (see
+  // AckRegistry); 0 leaves it unnumbered, never fenced.
   FrameConnection(ByteStream* stream, ReportSink sink, AsyncSink async_sink,
-                  AckRegistry* registry)
+                  AckRegistry* registry, uint64_t serial = 0)
       : stream_(stream),
         sink_(std::move(sink)),
         async_sink_(std::move(async_sink)),
-        registry_(registry) {}
+        registry_(registry),
+        serial_(serial) {}
 
   // Both cluster hooks must be installed before PumpUntilClosed.
   void set_route_check(RouteCheck route_check) { route_check_ = std::move(route_check); }
@@ -323,6 +355,7 @@ class FrameConnection {
   ReportSink sink_;
   AsyncSink async_sink_;
   AckRegistry* registry_;  // borrowed; null disables the ack protocol
+  const uint64_t serial_;
   RouteCheck route_check_;              // null = this server owns everything
   GroupMapProvider group_map_provider_; // null = no topology announcements
   StreamingFrameDecoder decoder_;
@@ -406,10 +439,14 @@ class FrameServer {
   struct Served {
     std::unique_ptr<ByteStream> stream;
     std::thread thread;
+    uint64_t serial = 0;  // accept order, from 1
     Status status = Status::Ok();
     FrameStreamStats stats;
     ConnectionAckBook book;
   };
+
+  // Marks `serial` finished and prunes the registry's fences accordingly.
+  void RetireSerial(uint64_t serial);
 
   FrameConnection::ReportSink sink_;
   FrameConnection::AsyncSink async_sink_;
@@ -422,6 +459,8 @@ class FrameServer {
   FrameStreamStats stats_ GUARDED_BY(mu_);      // folded at Shutdown
   ConnectionAckBook ack_book_ GUARDED_BY(mu_);  // folded at Shutdown
   size_t connections_ GUARDED_BY(mu_) = 0;      // finished connections
+  uint64_t next_serial_ GUARDED_BY(mu_) = 1;
+  std::set<uint64_t> live_serials_ GUARDED_BY(mu_);  // connections being pumped
   bool shut_down_ GUARDED_BY(mu_) = false;  // Serve after Shutdown drops the stream
 };
 

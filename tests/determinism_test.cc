@@ -5,6 +5,11 @@
 // thread).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/core/pipeline.h"
 #include "src/core/report.h"
 #include "src/sgx/attestation.h"
@@ -65,6 +70,40 @@ TEST(DeterminismTest, ThreadedBlindedPipelineMatchesSequentialHistogram) {
 
   EXPECT_FALSE(seq.value().histogram.empty());
   EXPECT_EQ(seq.value().histogram, par.value().histogram);
+}
+
+// Run's client side forks one DRBG per fixed-size chunk of inputs, so the
+// sealed reports — and everything downstream of them — depend on the seed
+// alone: sequential, a private 3-worker pool and the process pool agree
+// byte for byte.  Each input carries a unique value inside its crowd, so
+// the kRandomized histogram names exactly which reports survived.
+TEST(DeterminismTest, RunIsIndependentOfThePoolSize) {
+  std::vector<std::pair<std::string, std::string>> inputs;
+  for (int i = 0; i < 600; ++i) {  // two full encode chunks and a partial one
+    const std::string crowd = "crowd-" + std::to_string(i % 7);
+    inputs.emplace_back(crowd, crowd + "/" + std::to_string(i));
+  }
+
+  std::vector<Bytes> sealed;
+  std::optional<PipelineResult> first;
+  for (size_t threads : {size_t{0}, size_t{3}, kProcessPoolThreads}) {
+    SCOPED_TRACE(threads == kProcessPoolThreads ? "default" : std::to_string(threads));
+    auto reports = Pipeline(BaseConfig(threads)).Encode(inputs);
+    ASSERT_TRUE(reports.ok()) << reports.error().message;
+    ASSERT_EQ(reports.value().size(), inputs.size());
+    auto result = Pipeline(BaseConfig(threads)).Run(inputs);
+    ASSERT_TRUE(result.ok()) << result.error().message;
+    if (!first.has_value()) {
+      sealed = std::move(reports).value();
+      first = std::move(result).value();
+      EXPECT_GT(first->shuffler_stats.dropped_noise, 0u);
+      continue;
+    }
+    EXPECT_EQ(reports.value(), sealed);
+    EXPECT_EQ(result.value().histogram, first->histogram);
+    EXPECT_EQ(result.value().shuffler_stats.forwarded, first->shuffler_stats.forwarded);
+    EXPECT_EQ(result.value().shuffler_stats.dropped_noise, first->shuffler_stats.dropped_noise);
+  }
 }
 
 TEST(DeterminismTest, StashShuffleOutputIsPoolInvariant) {

@@ -165,11 +165,15 @@ class WedgeFs : public Fs {
   std::atomic<bool> wedged_{false};
 };
 
-FrontendConfig ClusterBaseConfig() {
+// `threads` is PipelineConfig::num_threads for every group and the merge:
+// 0 (sequential) by default; the acceptance tests also run the production
+// default, kProcessPoolThreads, where the coordinator's group fan-out and
+// each group's drain nest on the one process pool.
+FrontendConfig ClusterBaseConfig(size_t threads = 0) {
   FrontendConfig config;
   config.pipeline.shuffler.threshold_mode = ThresholdMode::kNaive;
   config.pipeline.shuffler.policy = ThresholdPolicy{20, 10, 2};
-  config.pipeline.num_threads = 0;
+  config.pipeline.num_threads = threads;
   config.pipeline.seed = "cluster-e2e";
   config.ingest.num_shards = 4;
   return config;
@@ -229,6 +233,7 @@ std::map<uint64_t, std::map<std::string, uint64_t>> SerialBaseline(
     const std::vector<std::vector<Bytes>>& waves) {
   FrontendConfig config = base;
   config.spool_dir = spool_dir;
+  config.pipeline.num_threads = 0;  // the sequential oracle
   ShufflerFrontend serial(config);
   EXPECT_TRUE(serial.Start().ok());
   for (const auto& wave : waves) {
@@ -419,10 +424,11 @@ TEST(ServiceClusterTest, GroupMapAnnouncementIsAdoptedOnConnect) {
 // The acceptance scenario: for every group count, concurrent cluster
 // clients deliver the same waves, and the coordinator-merged per-epoch
 // histograms are bit-identical to the serial single-frontend run.
-void ExpectMergedHistogramsMatchSerialForEveryGroupCount(ThresholdMode mode) {
-  FrontendConfig base = ClusterBaseConfig();
+void ExpectMergedHistogramsMatchSerialForEveryGroupCount(ThresholdMode mode, size_t threads) {
+  FrontendConfig base = ClusterBaseConfig(threads);
   base.pipeline.shuffler.threshold_mode = mode;
-  const std::string tag = "-mode" + std::to_string(static_cast<int>(mode));
+  const std::string tag = "-mode" + std::to_string(static_cast<int>(mode)) +
+                          (threads == 0 ? "-serial-drain" : "-pooled-drain");
 
   // Seal every wave once; every topology (and the serial baseline) ingests
   // the same sealed bytes.
@@ -516,9 +522,12 @@ void ExpectMergedHistogramsMatchSerialForEveryGroupCount(ThresholdMode mode) {
 }
 
 TEST(ServiceClusterTest, MergedHistogramsMatchSerialForEveryGroupCount) {
-  for (ThresholdMode mode : {ThresholdMode::kNaive, ThresholdMode::kNone}) {
-    SCOPED_TRACE("threshold_mode=" + std::to_string(static_cast<int>(mode)));
-    ExpectMergedHistogramsMatchSerialForEveryGroupCount(mode);
+  for (size_t threads : {size_t{0}, kProcessPoolThreads}) {
+    for (ThresholdMode mode : {ThresholdMode::kNaive, ThresholdMode::kNone}) {
+      SCOPED_TRACE("num_threads=" + std::string(threads == 0 ? "0" : "default") +
+                   " threshold_mode=" + std::to_string(static_cast<int>(mode)));
+      ExpectMergedHistogramsMatchSerialForEveryGroupCount(mode, threads);
+    }
   }
 }
 
@@ -781,8 +790,9 @@ TEST(ServiceClusterTest, SeededConnectionKillsStillConvergeToSerialHistograms) {
 
 // --------------------------------------------- mid-epoch crash + failover
 
-TEST(ServiceClusterTest, GroupCrashMidEpochFailsOverByRedirectWithoutLossOrDuplication) {
-  FrontendConfig base = ClusterBaseConfig();
+void ExpectGroupCrashFailsOverWithoutLossOrDuplication(size_t threads) {
+  FrontendConfig base = ClusterBaseConfig(threads);
+  const std::string tag = threads == 0 ? "-serial-drain" : "-pooled-drain";
   std::vector<std::vector<Bytes>> waves;
   {
     ShufflerFrontend key_holder(base);
@@ -792,11 +802,11 @@ TEST(ServiceClusterTest, GroupCrashMidEpochFailsOverByRedirectWithoutLossOrDupli
     ASSERT_TRUE(batch.ok());
     waves.push_back(std::move(batch).value());
   }
-  ScratchDir serial_dir("cluster-crash-serial");
+  ScratchDir serial_dir("cluster-crash-serial" + tag);
   const auto expected = SerialBaseline(base, serial_dir.path, waves);
   const auto& sealed = waves[0];
 
-  ScratchDir dir("cluster-crash");
+  ScratchDir dir("cluster-crash" + tag);
   WedgeFs wedge;
   auto g1 = MakeGroup(1, dir.path, base);
   auto g2 = MakeGroup(2, dir.path, base);
@@ -866,6 +876,13 @@ TEST(ServiceClusterTest, GroupCrashMidEpochFailsOverByRedirectWithoutLossOrDupli
   coordinator.Stop();
   for (ShardGroup* group : groups) {
     ASSERT_TRUE(group->Stop().ok());
+  }
+}
+
+TEST(ServiceClusterTest, GroupCrashMidEpochFailsOverByRedirectWithoutLossOrDuplication) {
+  for (size_t threads : {size_t{0}, kProcessPoolThreads}) {
+    SCOPED_TRACE(threads == 0 ? "num_threads=0" : "num_threads=default");
+    ExpectGroupCrashFailsOverWithoutLossOrDuplication(threads);
   }
 }
 

@@ -446,7 +446,8 @@ Bytes SyntheticReport(uint64_t client, uint64_t index) {
 void ExpectAckBooksBalance(const DurabilityRig& rig, uint64_t unique_reports) {
   ConnectionAckBook book = rig.server.ack_book();
   FrameStreamStats frames = rig.server.stats();
-  EXPECT_EQ(frames.frames_report, book.acked + book.nacked + book.duplicates_suppressed);
+  EXPECT_EQ(frames.frames_report,
+            book.acked + book.nacked + book.duplicates_suppressed + book.fenced);
   EXPECT_EQ(rig.frontend.stats().reports_accepted.load(), unique_reports);
   EXPECT_EQ(rig.frontend.stats().acks_sent.load(), book.acked);
   EXPECT_EQ(rig.frontend.stats().nacks_sent.load(), book.nacked);

@@ -207,14 +207,16 @@ Bytes SyntheticReport(uint64_t client, uint64_t index) {
 }
 
 // The balance invariant every scenario must satisfy: each valid report
-// frame the server received got exactly one response, first-time ingests
-// match the frontend's accepted count, and the mirrored FrontendStats books
-// agree with the server's.
+// frame the server received got exactly one response or was dropped on a
+// fenced (stale) connection, first-time ingests match the frontend's
+// accepted count, and the mirrored FrontendStats books agree with the
+// server's.
 void ExpectAckBooksBalance(const NetworkRig& rig, uint64_t unique_reports) {
   ConnectionAckBook book = rig.server.ack_book();
   FrameStreamStats frames = rig.server.stats();
   EXPECT_EQ(book.acked, unique_reports);
-  EXPECT_EQ(frames.frames_report, book.acked + book.nacked + book.duplicates_suppressed);
+  EXPECT_EQ(frames.frames_report,
+            book.acked + book.nacked + book.duplicates_suppressed + book.fenced);
   EXPECT_EQ(rig.frontend.stats().reports_accepted.load(), unique_reports);
   EXPECT_EQ(rig.frontend.stats().acks_sent.load(), book.acked);
   EXPECT_EQ(rig.frontend.stats().nacks_sent.load(), book.nacked);
@@ -315,6 +317,86 @@ TEST(ServiceNetworkTest, KillMidFrameReconnectDeliversExactlyOnce) {
   EXPECT_EQ(client.stats().acked, kReports);
   EXPECT_GE(client.stats().retransmitted, kReports - 3);
   EXPECT_GE(rig.server.stats().frames_corrupt, 1u);
+}
+
+// ------------------------------------------------------- stale connections
+
+// A server-side transport whose reads block until Release(): the pump of a
+// connection the network has already delivered but the server has not yet
+// read — the scheduling that lets a dead connection's frames be pumped
+// after its session's goodbye.
+class HeldStream : public ByteStream {
+ public:
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+
+    void Release() {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+      cv.notify_all();
+    }
+  };
+
+  HeldStream(std::unique_ptr<ByteStream> inner, std::shared_ptr<Gate> gate)
+      : inner_(std::move(inner)), gate_(std::move(gate)) {}
+
+  Result<size_t> Read(std::span<uint8_t> out) override {
+    {
+      std::unique_lock<std::mutex> lock(gate_->mu);
+      gate_->cv.wait(lock, [&] { return gate_->open; });
+    }
+    return inner_->Read(out);
+  }
+  Status Write(ByteSpan data) override { return inner_->Write(data); }
+  void CloseWrite() override { inner_->CloseWrite(); }
+  void Abort() override { inner_->Abort(); }
+
+ private:
+  std::unique_ptr<ByteStream> inner_;
+  std::shared_ptr<Gate> gate_;
+};
+
+TEST(ServiceNetworkTest, GoodbyeFencesAStaleConnectionsBufferedFrames) {
+  ScratchDir dir("network-fence");
+  NetworkRig rig(NetworkFrontendConfig(dir.path));
+  rig.Start();
+
+  constexpr uint64_t kReports = 40;
+  FrameClient client(FrameClientConfig{/*session_id=*/91});
+
+  // The old connection: accepted first, its HELLO and every report written
+  // into the transport, but the server's pump is held before it reads any.
+  auto gate = std::make_shared<HeldStream::Gate>();
+  LoopbackPair old_pair = NewLoopbackPair();
+  rig.server.Serve(std::make_unique<HeldStream>(std::move(old_pair.server), gate));
+  ASSERT_TRUE(client.Connect(std::move(old_pair.client)).ok());
+  for (uint64_t i = 0; i < kReports; ++i) {
+    ASSERT_TRUE(client.SendReport(SyntheticReport(9, i)).ok());
+  }
+  EXPECT_EQ(client.outstanding(), kReports);  // nothing read, nothing acked
+
+  // The client gives up on it, reconnects, replays everything, finishes,
+  // and says goodbye — all before the old connection's frames are read.
+  auto stream = rig.Dial();
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE(client.Connect(std::move(stream).value()).ok());
+  ASSERT_TRUE(client.WaitForAcks(std::chrono::milliseconds(30000)));
+  client.Close();
+  EXPECT_EQ(client.stats().goodbyes_acked, 1u);
+  EXPECT_EQ(rig.server.registry().sessions(), 0u);
+
+  // Now the stale frames arrive: the HELLO and reports of a connection
+  // older than the goodbye must not revive the session.
+  gate->Release();
+  ASSERT_TRUE(rig.server.Shutdown().ok());
+
+  ExpectAckBooksBalance(rig, kReports);
+  EXPECT_EQ(rig.server.ack_book().fenced, kReports);
+  EXPECT_EQ(rig.server.ack_book().duplicates_suppressed, 0u);
+  EXPECT_EQ(rig.server.registry().sessions(), 0u);
+  EXPECT_EQ(client.stats().acked, kReports);
 }
 
 // -------------------------------------------------- kill after frame, before ack

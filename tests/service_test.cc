@@ -39,26 +39,35 @@ struct ScratchDir {
   std::string path;
 };
 
-// Thread counts for the end-to-end matrix.  PROCHLO_STASH_THREADS (a comma
-// list, as the benches use) overrides, so scripts/check.sh can pin the
-// matrix externally; default covers sequential and 4 workers.
+// PipelineConfig::num_threads values for the end-to-end matrix.
+// PROCHLO_STASH_THREADS (a comma list, as the benches use) overrides, so
+// scripts/check.sh can pin the matrix externally; the token `default`
+// leaves num_threads at its default (the process pool).  Without the
+// variable the matrix covers sequential, a private 4-worker pool, and the
+// default.
 std::vector<size_t> ThreadMatrix() {
   const char* env = std::getenv("PROCHLO_STASH_THREADS");
   if (env == nullptr) {
-    return {0, 4};
+    return {0, 4, PipelineConfig{}.num_threads};
   }
   std::vector<size_t> threads;
   std::string spec = env;
   size_t pos = 0;
   while (pos < spec.size()) {
     size_t comma = spec.find(',', pos);
-    threads.push_back(std::strtoull(spec.substr(pos, comma - pos).c_str(), nullptr, 10));
+    const std::string token = spec.substr(pos, comma - pos);
+    threads.push_back(token == "default" ? PipelineConfig{}.num_threads
+                                         : std::strtoull(token.c_str(), nullptr, 10));
     if (comma == std::string::npos) {
       break;
     }
     pos = comma + 1;
   }
   return threads;
+}
+
+std::string ThreadsLabel(size_t threads) {
+  return threads == kProcessPoolThreads ? "default" : std::to_string(threads);
 }
 
 std::vector<std::pair<std::string, std::string>> CohortInputs() {
@@ -593,7 +602,7 @@ std::vector<Bytes> EncodeCohortFrames(const ShufflerFrontend& frontend,
 TEST(ServiceTest, EndToEndMatchesOneShotPipelineAcrossThreads) {
   auto inputs = CohortInputs();
   for (size_t threads : ThreadMatrix()) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SCOPED_TRACE("threads=" + ThreadsLabel(threads));
 
     Pipeline one_shot(ServicePipelineConfig(threads));
     auto expected = one_shot.Run(inputs);
@@ -601,7 +610,7 @@ TEST(ServiceTest, EndToEndMatchesOneShotPipelineAcrossThreads) {
     ASSERT_FALSE(expected.value().histogram.empty());
     ASSERT_EQ(expected.value().histogram.count("app-rare"), 0u);
 
-    ScratchDir dir("e2e-" + std::to_string(threads));
+    ScratchDir dir("e2e-" + ThreadsLabel(threads));
     FrontendConfig config;
     config.pipeline = ServicePipelineConfig(threads);
     config.ingest.num_shards = 4;
@@ -609,7 +618,7 @@ TEST(ServiceTest, EndToEndMatchesOneShotPipelineAcrossThreads) {
     ShufflerFrontend frontend(config);
     ASSERT_TRUE(frontend.Start().ok());
 
-    auto frames = EncodeCohortFrames(frontend, inputs, "clients-" + std::to_string(threads));
+    auto frames = EncodeCohortFrames(frontend, inputs, "clients-" + ThreadsLabel(threads));
     // The cohort must actually spread across all 4 ingestion shards.
     std::set<size_t> shards;
     for (const auto& frame : frames) {
@@ -647,13 +656,13 @@ TEST(ServiceTest, EndToEndMatchesOneShotPipelineAcrossThreads) {
 TEST(ServiceTest, EndToEndSurvivesCrashAndReopenMidEpoch) {
   auto inputs = CohortInputs();
   for (size_t threads : ThreadMatrix()) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SCOPED_TRACE("threads=" + ThreadsLabel(threads));
 
     Pipeline one_shot(ServicePipelineConfig(threads));
     auto expected = one_shot.Run(inputs);
     ASSERT_TRUE(expected.ok());
 
-    ScratchDir dir("crash-" + std::to_string(threads));
+    ScratchDir dir("crash-" + ThreadsLabel(threads));
     FrontendConfig config;
     config.pipeline = ServicePipelineConfig(threads);
     config.ingest.num_shards = 4;

@@ -1,12 +1,21 @@
 // Tests for the util substrate: bytes, RNG statistics, serialization, and the
 // thread pool.
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
+#include <latch>
 #include <memory>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "src/util/bytes.h"
 #include "src/util/mpsc_ring.h"
@@ -236,6 +245,131 @@ TEST(ThreadPoolTest, ParallelForEmptyRange) {
 TEST(ThreadPoolTest, WaitWithNoTasksReturns) {
   ThreadPool pool(2);
   pool.Wait();  // must not deadlock
+}
+
+// Runs `body` on its own thread and aborts the test binary if it has not
+// returned within a minute.  The bound only turns a deadlock into a
+// failure instead of a hang (a deadlocked pool cannot be torn down); the
+// properties themselves are established with latches, not timings.
+void ExpectCompletes(const std::function<void()>& body) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    body();
+    done.set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "deadlock: ThreadPool call did not return\n");
+    std::abort();
+  }
+  runner.join();
+}
+
+// The nest-safety and independence properties, at pool sizes 1 and 4.
+class ThreadPoolSizeTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ThreadPoolSizeTest, NestedParallelForCompletes) {
+  ThreadPool pool(GetParam());
+  constexpr size_t kFan = 5;
+  std::vector<std::atomic<int>> hits(kFan * kFan * kFan);
+  ExpectCompletes([&] {
+    pool.ParallelFor(kFan, [&](size_t i) {
+      pool.ParallelFor(kFan, [&](size_t j) {
+        pool.ParallelFor(kFan, [&](size_t k) { hits[(i * kFan + j) * kFan + k]++; });
+      });
+    });
+  });
+  for (const auto& h : hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST_P(ThreadPoolSizeTest, ParallelForFromASubmittedTaskCompletes) {
+  ThreadPool pool(GetParam());
+  std::vector<std::atomic<int>> hits(100);
+  ExpectCompletes([&] {
+    std::latch task_done(1);
+    pool.Submit([&] {
+      pool.ParallelFor(hits.size(), [&](size_t i) { hits[i]++; });
+      task_done.count_down();
+    });
+    task_done.wait();
+    pool.Wait();
+  });
+  for (const auto& h : hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST_P(ThreadPoolSizeTest, ConcurrentCallersWaitOnlyForTheirOwnIndices) {
+  const size_t workers = GetParam();
+  ThreadPool pool(workers);
+  // Caller C's indices block until released.  Its runners — every worker
+  // plus C's own thread — each claim one and block in it.
+  const size_t blocked_indices = 4 * (workers + 1);
+  std::latch all_runners_blocked(static_cast<std::ptrdiff_t>(workers + 1));
+  std::latch release_c(1);
+  std::atomic<size_t> c_entered{0};
+  std::vector<std::atomic<int>> c_hits(blocked_indices);
+  std::atomic<bool> c_returned{false};
+  std::thread caller_c([&] {
+    pool.ParallelFor(blocked_indices, [&](size_t i) {
+      if (c_entered.fetch_add(1) < workers + 1) {
+        all_runners_blocked.count_down();
+      }
+      release_c.wait();
+      c_hits[i]++;
+    });
+    c_returned = true;
+  });
+  ExpectCompletes([&] { all_runners_blocked.wait(); });
+
+  // With every worker stuck in C's job, A and B still finish: each runs
+  // its own indices and waits for nothing else.
+  std::vector<std::atomic<int>> a_hits(64);
+  std::vector<std::atomic<int>> b_hits(64);
+  ExpectCompletes([&] {
+    std::thread caller_a([&] { pool.ParallelFor(a_hits.size(), [&](size_t i) { a_hits[i]++; }); });
+    std::thread caller_b([&] { pool.ParallelFor(b_hits.size(), [&](size_t i) { b_hits[i]++; }); });
+    caller_a.join();
+    caller_b.join();
+  });
+  for (size_t i = 0; i < a_hits.size(); ++i) {
+    EXPECT_EQ(a_hits[i].load(), 1);
+    EXPECT_EQ(b_hits[i].load(), 1);
+  }
+  EXPECT_FALSE(c_returned.load());
+
+  release_c.count_down();
+  caller_c.join();
+  EXPECT_TRUE(c_returned.load());
+  for (const auto& h : c_hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST_P(ThreadPoolSizeTest, ParallelForRunsEveryIndexExactlyOnce) {
+  ThreadPool pool(GetParam());
+  for (size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{20}, size_t{21}, size_t{1000},
+                   size_t{4097}}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.ParallelFor(n, [&](size_t i) { hits[i]++; });
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, ThreadPoolSizeTest, ::testing::Values(1, 4));
+
+TEST(ThreadPoolTest, ProcessPoolIsOneInstanceSizedToTheAffinityMask) {
+  ThreadPool& pool = ThreadPool::Process();
+  EXPECT_EQ(&pool, &ThreadPool::Process());
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  const size_t cpus = static_cast<size_t>(CPU_COUNT(&set));
+  EXPECT_EQ(pool.num_threads(), std::max<size_t>(1, cpus - 1));
 }
 
 TEST(MpscRingTest, FifoSingleThreaded) {
