@@ -389,11 +389,9 @@ void Run() {
     IngestWorkerPool pool(&frontend, WorkerPoolConfig{/*workers=*/2, /*ring_capacity=*/1024});
     pool.Start();
     FrameServer server(
-        [&pool](Bytes report) { return pool.Enqueue(std::move(report)); },
         [&pool](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
           pool.EnqueueAsync(std::move(report), ctx, std::move(done));
         });
-    server.BindFrontendStats(&frontend.stats());
     TcpListener listener(&server);
     if (!listener.Start().ok()) {
       std::fprintf(stderr, "tcp listener failed to start; skipping socket stage\n");
@@ -436,8 +434,8 @@ void Run() {
     fs::remove_all(tcp_dir);
   }
 
-  // ---- overlap: frames over connections -> rings -> spool, epoch e
-  //      draining while e+1 accumulates ----
+  // ---- overlap: one acked session over a loopback connection -> rings ->
+  //      spool, epoch e draining while e+1 accumulates ----
   {
     std::string overlap_dir = (fs::temp_directory_path() / "prochlo-bench-overlap").string();
     fs::remove_all(overlap_dir);
@@ -459,26 +457,28 @@ void Run() {
     drainer.Start();
     t0 = std::chrono::steady_clock::now();
     size_t half = cohort.value().size() / 2;
-    FrameServer server([&pool](Bytes report) { return pool.Enqueue(std::move(report)); });
-    auto connection = server.Connect();
-    for (size_t i = 0; i < half; ++i) {
-      BenchCheck(connection->Write(EncodeFrame(cohort.value()[i])), "connection->Write");
-    }
-    // The pump thread may still be draining the loopback buffer; Flush only
-    // barriers reports already enqueued.  Wait for the pump to hand over
-    // the whole first half, then flush, so the cut seals a real epoch.
-    while (pool.stats().enqueued < half) {
-      std::this_thread::yield();
-    }
-    BenchCheck(pool.Flush(), "pool.Flush");
+    FrameServer server(
+        [&pool](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
+          pool.EnqueueAsync(std::move(report), ctx, std::move(done));
+        });
+    FrameClient client(FrameClientConfig{/*session_id=*/1});
+    BenchCheck(client.Connect(server.Connect()), "client.Connect");
+    // An ACK means the report is ingested, so once the first half is all
+    // acked the cut seals a real epoch.
+    auto send = [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        BenchCheck(client.SendReport(cohort.value()[i]), "client.SendReport");
+      }
+      if (!client.WaitForAcks(std::chrono::milliseconds(120000))) {
+        BenchCheck(Error{"reports not acked"}, "client.WaitForAcks");
+      }
+    };
+    send(0, half);
     BenchCheck(frontend.CutEpoch(), "frontend.CutEpoch");
     drainer.RequestDrain();  // epoch 0 drains while epoch 1 accumulates
-    for (size_t i = half; i < cohort.value().size(); ++i) {
-      BenchCheck(connection->Write(EncodeFrame(cohort.value()[i])), "connection->Write");
-    }
-    connection->CloseWrite();
+    send(half, cohort.value().size());
+    client.Close();
     (void)server.Shutdown();  // teardown; per-connection errors already counted
-    BenchCheck(pool.Flush(), "pool.Flush");
     BenchCheck(frontend.CutEpoch(), "frontend.CutEpoch");
     drainer.RequestDrain();
     bool drained_both = drainer.WaitForDrainedEpochs(2, std::chrono::milliseconds(120000));

@@ -127,6 +127,9 @@ test -s "$BUILD_DIR/BENCH_ingest.json"
 # The ingest bench must include the multi-group cluster stage (a silent
 # skip there would leave the cluster path unsmoked).
 grep -q '"op": "cluster/groups=4,send-ack-merge"' "$BUILD_DIR/BENCH_ingest.json"
+# Likewise the acked-session overlap stage: a timeout there only prints to
+# stderr and drops its row.
+grep -q '"op": "drain_overlap_2_epochs"' "$BUILD_DIR/BENCH_ingest.json"
 # The WAL durability stage: append/group-commit and checkpoint rows must be
 # present, and group commit must actually amortize — at batch >= 8 the
 # fsync count (the wal_fsyncs row's n) is strictly below the report count,

@@ -6,13 +6,11 @@ ShardGroup::ShardGroup(ShardGroupConfig config)
     : config_(std::move(config)),
       frontend_(config_.frontend),
       pool_(&frontend_, config_.workers),
-      // The legacy (ack-less) path ingests synchronously; the ack path
-      // dispatches through the worker pool and ACKs from its completion,
-      // i.e. only after the durable spool append.
-      server_([this](Bytes report) { return frontend_.AcceptReport(std::move(report)); },
-              [this](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
-                pool_.EnqueueAsync(std::move(report), ctx, std::move(done));
-              }) {}
+      // Reports dispatch through the worker pool and ACK from its
+      // completion, i.e. only after the durable spool append.
+      server_([this](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
+        pool_.EnqueueAsync(std::move(report), ctx, std::move(done));
+      }) {}
 
 // Destructor teardown has no caller to report to; Stop() errors were already
 // counted in the component stats as they happened.
@@ -32,7 +30,6 @@ Status ShardGroup::Start() {
   if (!status.ok()) {
     return status;
   }
-  server_.BindFrontendStats(&frontend_.stats());
   pool_.Start();
   if (config_.listen_tcp) {
     listener_ = std::make_unique<TcpListener>(&server_);

@@ -10,7 +10,7 @@
 #include <cstring>
 #include <deque>
 
-#include "src/service/frontend.h"
+#include "src/service/wal.h"
 
 namespace prochlo {
 
@@ -488,7 +488,7 @@ void FrameConnection::StopWriter() {
 void FrameConnection::DispatchAckedReport(Frame frame) {
   const uint64_t session = session_id_;
   const uint64_t seq = frame.seq;
-  switch (registry_->TryClaim(session, seq, serial_)) {
+  switch (registry_.TryClaim(session, seq, serial_)) {
     case AckRegistry::Claim::kFenced: {
       // A newer connection spoke for this session, so this one is dead to
       // its client: nobody reads a response here, and the report was
@@ -543,7 +543,7 @@ void FrameConnection::DispatchAckedReport(Frame frame) {
     uint64_t map_version = 0;
     if (!route_check_(ByteSpan(frame.payload.data(), frame.payload.size()), &target_group,
                       &map_version)) {
-      registry_->Release(session, seq);
+      registry_.Release(session, seq);
       {
         MutexLock lock(out_mu_);
         book_.nacked++;
@@ -562,7 +562,7 @@ void FrameConnection::DispatchAckedReport(Frame frame) {
     if (status.ok()) {
       // Registry first, then the ack: a duplicate arriving after the ack
       // must already observe the seq as durable.
-      registry_->Commit(session, seq);
+      registry_.Commit(session, seq);
       {
         MutexLock lock(out_mu_);
         book_.acked++;
@@ -571,7 +571,7 @@ void FrameConnection::DispatchAckedReport(Frame frame) {
     } else {
       // Not ingested: release the claim so the client's retry is accepted
       // as new, and tell it why.
-      registry_->Release(session, seq);
+      registry_.Release(session, seq);
       {
         MutexLock lock(out_mu_);
         book_.nacked++;
@@ -583,27 +583,21 @@ void FrameConnection::DispatchAckedReport(Frame frame) {
       inflight_cv_.NotifyAll();
     }
   };
-  if (async_sink_) {
-    async_sink_(std::move(frame.payload), ReportContext{session, seq}, std::move(done));
-  } else {
-    done(sink_(std::move(frame.payload)));
-  }
+  sink_(std::move(frame.payload), ReportContext{session, seq}, std::move(done));
 }
 
-Status FrameConnection::HandleFrame(Frame frame) {
+void FrameConnection::HandleFrame(Frame frame) {
   switch (frame.type) {
     case FrameType::kHello:
-      // Binds the connection to the client's acknowledgment session; only
-      // meaningful when a registry exists to hold that state.  Session 0
-      // is reserved as "no session" — honoring it would silently cross-
-      // deduplicate every client that forgot to pick an id, losing their
-      // reports while acking them.
-      helloed_ = registry_ != nullptr && frame.seq != 0;
+      // Binds the connection to the client's acknowledgment session.
+      // Session 0 is reserved as "no session" — honoring it would silently
+      // cross-deduplicate every client that forgot to pick an id, losing
+      // their reports while acking them.
       session_id_ = frame.seq;
-      if (helloed_) {
-        registry_->Fence(session_id_, serial_);
+      if (session_id_ != 0) {
+        registry_.Fence(session_id_, serial_);
       }
-      if (helloed_ && group_map_provider_) {
+      if (session_id_ != 0 && group_map_provider_) {
         // Announce the topology up front so the client can route before it
         // has made (and been redirected for) its first mistake.
         Bytes map_frame = group_map_provider_();
@@ -611,38 +605,40 @@ Status FrameConnection::HandleFrame(Frame frame) {
           EnqueueResponse(std::move(map_frame));
         }
       }
-      return Status::Ok();
+      return;
     case FrameType::kReport:
-      if (helloed_) {
+      if (session_id_ != 0) {
         DispatchAckedReport(std::move(frame));
-        return Status::Ok();
+      } else {
+        // No session, so no dedup key and no seq to answer under: drop the
+        // report unclaimed, like a fenced one.
+        MutexLock lock(out_mu_);
+        book_.refused++;
       }
-      // Legacy ack-less hand-off: the caller's sink decides the pump's fate.
-      return sink_(std::move(frame.payload));
+      return;
     case FrameType::kGoodbye:
       // The fair-termination handshake: the client promises this session is
       // complete and will never be reused, so every trace of its dedup
       // state can be dropped.  Idempotent — a goodbye retry (the previous
       // ack died with its connection) finds nothing to drop and is re-ACKed
       // just the same.
-      if (helloed_) {
-        registry_->Terminate(session_id_);
+      if (session_id_ != 0) {
+        registry_.Terminate(session_id_);
         {
           MutexLock lock(out_mu_);
           book_.goodbyes_acked++;
         }
         EnqueueResponse(EncodeAckFrame(frame.seq));
       }
-      return Status::Ok();
+      return;
     case FrameType::kAck:
     case FrameType::kNack:
     case FrameType::kGroupMap:
       // Client-bound frames arriving at a server: already counted in the
       // framing books (frames_ack/frames_nack/frames_group_map), nothing
       // to do.
-      return Status::Ok();
+      return;
   }
-  return Status::Ok();
 }
 
 void FrameConnection::WaitForInflight() {
@@ -663,34 +659,17 @@ Status FrameConnection::PumpUntilClosed() {
       status = n.error();
       break;
     }
-    if (n.value() == 0) {
-      // EOF: the torn tail may still hold recoverable frames.
-      frames.clear();
-      decoder_.Finish(&frames);
-      for (auto& frame : frames) {
-        status = HandleFrame(std::move(frame));
-        if (!status.ok()) {
-          break;
-        }
-      }
-      break;
-    }
+    const bool eof = n.value() == 0;
     frames.clear();
-    decoder_.Feed(ByteSpan(buffer, n.value()), frames);
-    bool failed = false;
-    for (auto& frame : frames) {
-      status = HandleFrame(std::move(frame));
-      if (!status.ok()) {
-        // Legacy (ack-less) hand-off failure: without acks the client
-        // cannot be told which reports landed, so stop pumping and surface
-        // the error; the server-side books hold the truth.  The ack path
-        // never gets here — its ingest failures become NACKs.
-        decoder_.Finish();
-        failed = true;
-        break;
-      }
+    if (eof) {
+      decoder_.Finish(&frames);  // the torn tail may still hold whole frames
+    } else {
+      decoder_.Feed(ByteSpan(buffer, n.value()), frames);
     }
-    if (failed) {
+    for (auto& frame : frames) {
+      HandleFrame(std::move(frame));
+    }
+    if (eof) {
       break;
     }
   }
@@ -708,11 +687,6 @@ Status FrameConnection::PumpUntilClosed() {
 // Destructor teardown has no caller to report to; Shutdown is idempotent and
 // its status only restates per-connection errors already counted in stats_.
 FrameServer::~FrameServer() { (void)Shutdown(); }
-
-void FrameServer::BindFrontendStats(FrontendStats* stats) {
-  MutexLock lock(mu_);
-  frontend_stats_ = stats;
-}
 
 void FrameServer::set_route_check(FrameConnection::RouteCheck route_check) {
   MutexLock lock(mu_);
@@ -750,7 +724,7 @@ void FrameServer::Serve(std::unique_ptr<ByteStream> stream) {
   // the setters race later Serves.
   raw->thread = std::thread([this, raw, route_check = route_check_,
                              group_map_provider = group_map_provider_]() mutable {
-    FrameConnection connection(raw->stream.get(), sink_, async_sink_, &registry_, raw->serial);
+    FrameConnection connection(raw->stream.get(), sink_, registry_, raw->serial);
     if (route_check) {
       connection.set_route_check(std::move(route_check));
     }
@@ -760,28 +734,9 @@ void FrameServer::Serve(std::unique_ptr<ByteStream> stream) {
     raw->status = connection.PumpUntilClosed();
     raw->stats = connection.stats();
     raw->book = connection.ack_book();
-    {
-      // Mirror the finished connection's ack book into the frontend's
-      // counters so operators see the protocol's books where the ingestion
-      // books already live.
-      MutexLock stats_lock(mu_);
-      if (frontend_stats_ != nullptr) {
-        frontend_stats_->acks_sent.fetch_add(raw->book.acked, std::memory_order_relaxed);
-        frontend_stats_->nacks_sent.fetch_add(raw->book.nacked, std::memory_order_relaxed);
-        frontend_stats_->duplicates_suppressed.fetch_add(raw->book.duplicates_suppressed,
-                                                         std::memory_order_relaxed);
-        // Every misrouted rejection sent exactly one redirect NACK, so the
-        // two cluster counters mirror the same book entry — the exact
-        // balance the cluster tests pin.
-        frontend_stats_->redirects_sent.fetch_add(raw->book.redirects_sent,
-                                                  std::memory_order_relaxed);
-        frontend_stats_->misrouted_rejected.fetch_add(raw->book.redirects_sent,
-                                                      std::memory_order_relaxed);
-      }
-    }
     // Release the transport as soon as pumping ends: if the pump bailed on
-    // a sink error, this closes the connection and unblocks a peer still
-    // writing into it, rather than holding it open until Shutdown.
+    // a transport error, this closes the connection and unblocks a peer
+    // still writing into it, rather than holding it open until Shutdown.
     raw->stream.reset();
     RetireSerial(raw->serial);
   });

@@ -11,12 +11,15 @@
 // established by a HELLO frame) make retries idempotent: a reconnecting
 // client resends everything unacknowledged, and the server's AckRegistry
 // suppresses the duplicates whose acks were lost with the old connection.
+// HELLO is mandatory: a report frame on a connection that never bound a
+// (non-zero) session is refused — dropped unanswered and counted.
 //
 //   FrameClient ──HELLO(session), REPORT(seq)──►  TcpListener / loopback
 //        ▲                                          │ accept
 //        │                                          ▼
 //        └──◄─ACK(seq) / NACK(seq)──  FrameConnection (StreamingFrameDecoder:
 //                                       reassemble + CRC + resync;
+//                                       no session yet: REPORT refused;
 //                                       AckRegistry: dedup by (session, seq))
 //                                           └─► AsyncSink (IngestWorkerPool::
 //                                                EnqueueAsync; completion
@@ -52,7 +55,6 @@
 
 namespace prochlo {
 
-struct FrontendStats;
 class IngestWal;
 
 // A duplex byte-stream endpoint.  Reads block until data, EOF, or error;
@@ -234,10 +236,11 @@ class AckRegistry {
 };
 
 // One connection's acknowledgment ledger.  The balance invariant the
-// network tests pin: every valid report frame received on an ack-protocol
-// connection gets exactly one response, or is dropped because the
-// connection was fenced, so
-//   stats().frames_report == acked + nacked + duplicates_suppressed + fenced
+// network tests pin: every valid report frame received gets exactly one
+// response, or is dropped unanswered because the connection was fenced or
+// never bound a session, so
+//   stats().frames_report ==
+//       acked + nacked + duplicates_suppressed + fenced + refused
 // and `acked` equals the reports this connection durably ingested.
 struct ConnectionAckBook {
   uint64_t acked = 0;                  // first-time durable ingests ACKed
@@ -246,6 +249,9 @@ struct ConnectionAckBook {
   // Report frames dropped unclaimed, without a response, because a newer
   // connection had already spoken for the session (AckRegistry::kFenced).
   uint64_t fenced = 0;
+  // Report frames dropped unclaimed, without a response, because the
+  // connection had no session: no HELLO, or a HELLO with reserved id 0.
+  uint64_t refused = 0;
   // Of `nacked`, how many told the client its session state is gone
   // (kSessionExpired: evicted, terminated, or seq space saturated).
   uint64_t expired_nacked = 0;
@@ -268,6 +274,7 @@ struct ConnectionAckBook {
     nacked += other.nacked;
     duplicates_suppressed += other.duplicates_suppressed;
     fenced += other.fenced;
+    refused += other.refused;
     expired_nacked += other.expired_nacked;
     redirects_sent += other.redirects_sent;
     goodbyes_acked += other.goodbyes_acked;
@@ -275,34 +282,30 @@ struct ConnectionAckBook {
   }
 };
 
-// Pumps one ByteStream's frames into a sink.  The decoder reassembles
+// Pumps one ByteStream's frames into an AsyncSink.  The decoder reassembles
 // frames split across reads and resynchronizes after corruption with the
 // exact FrameReader books (frames_ok/frames_corrupt/bytes_skipped).
 //
-// Two report paths coexist:
-//   * legacy (no HELLO seen, or no registry): each report payload goes to
-//     the synchronous ReportSink; a sink error aborts the pump.  No acks.
-//   * ack protocol (HELLO seen): each report is claimed in the AckRegistry,
-//     dispatched through the AsyncSink, and answered with ACK/NACK from the
-//     dispatch completion — which may fire on an ingest worker thread after
-//     the durable spool append.  Sink failures NACK instead of aborting.
-//     Completions only *enqueue* the response; a per-connection writer
-//     thread performs the stream writes, so a client that stops draining
-//     its receive side stalls its own connection, never a shared ingest
-//     worker.
+// Every report rides the session established by the connection's HELLO: it
+// is claimed in the AckRegistry, dispatched through the AsyncSink, and
+// answered with ACK/NACK from the dispatch completion — which may fire on
+// an ingest worker thread after the durable spool append.  Sink failures
+// NACK; they never end the pump.  A report frame that arrives before any
+// valid HELLO is refused (see ConnectionAckBook::refused).  Completions
+// only *enqueue* the response; a per-connection writer thread performs the
+// stream writes, so a client that stops draining its receive side stalls
+// its own connection, never a shared ingest worker.
 // PumpUntilClosed returns only after every in-flight completion has
 // resolved and the response outbox has drained, so stats() and ack_book()
 // are final.
 class FrameConnection {
  public:
-  // Returns non-Ok when a report could not be handed off; on the legacy
-  // (ack-less) path the pump stops and the connection surfaces the error.
-  using ReportSink = std::function<Status(Bytes)>;
   // Asynchronous hand-off: `done` must be invoked exactly once with the
   // report's final Accept outcome, possibly on another thread.  The
   // ReportContext carries the report's (session, seq) so a WAL-backed sink
-  // can fuse the ack commit into the report's own durable record;
-  // session_id 0 means ack-less (legacy path).
+  // can fuse the ack commit into the report's own durable record.  A
+  // connection always passes a non-zero session; session_id 0 is left to
+  // in-process callers that ingest without an ack session.
   using AsyncSink =
       std::function<void(Bytes, ReportContext, std::function<void(const Status&)>)>;
   // Cluster ownership check, consulted only after the dedup claim comes
@@ -318,17 +321,11 @@ class FrameConnection {
   // before the first routing mistake rather than from it.
   using GroupMapProvider = std::function<Bytes()>;
 
-  FrameConnection(ByteStream* stream, ReportSink sink)
-      : FrameConnection(stream, std::move(sink), nullptr, nullptr) {}
   // `serial` is the connection's accept-order number for fencing (see
   // AckRegistry); 0 leaves it unnumbered, never fenced.
-  FrameConnection(ByteStream* stream, ReportSink sink, AsyncSink async_sink,
-                  AckRegistry* registry, uint64_t serial = 0)
-      : stream_(stream),
-        sink_(std::move(sink)),
-        async_sink_(std::move(async_sink)),
-        registry_(registry),
-        serial_(serial) {}
+  FrameConnection(ByteStream* stream, AsyncSink sink, AckRegistry& registry,
+                  uint64_t serial = 0)
+      : stream_(stream), sink_(std::move(sink)), registry_(registry), serial_(serial) {}
 
   // Both cluster hooks must be installed before PumpUntilClosed.
   void set_route_check(RouteCheck route_check) { route_check_ = std::move(route_check); }
@@ -336,15 +333,15 @@ class FrameConnection {
     group_map_provider_ = std::move(provider);
   }
 
-  // Reads until EOF or a sink/transport error, cutting frames as they
-  // complete.  Corrupt frames are skipped with stats kept, never fatal.
+  // Reads until EOF or a transport error, cutting frames as they complete.
+  // Corrupt frames are skipped with stats kept, never fatal.
   Status PumpUntilClosed();
 
   const FrameStreamStats& stats() const { return decoder_.stats(); }
   ConnectionAckBook ack_book() const;
 
  private:
-  Status HandleFrame(Frame frame);
+  void HandleFrame(Frame frame);
   void DispatchAckedReport(Frame frame);
   void EnqueueResponse(Bytes response_frame);
   void WriterLoop();
@@ -352,16 +349,14 @@ class FrameConnection {
   void WaitForInflight();
 
   ByteStream* stream_;  // borrowed
-  ReportSink sink_;
-  AsyncSink async_sink_;
-  AckRegistry* registry_;  // borrowed; null disables the ack protocol
+  AsyncSink sink_;
+  AckRegistry& registry_;  // borrowed
   const uint64_t serial_;
   RouteCheck route_check_;              // null = this server owns everything
   GroupMapProvider group_map_provider_; // null = no topology announcements
   StreamingFrameDecoder decoder_;
 
-  bool helloed_ = false;
-  uint64_t session_id_ = 0;
+  uint64_t session_id_ = 0;  // bound by HELLO; 0 = no session yet
 
   // The response outbox and its writer thread (started lazily with the
   // first response).  Completions — possibly on shared ingest worker
@@ -384,26 +379,18 @@ class FrameConnection {
 };
 
 // A listener: serves any number of connections, each pumped on its own
-// thread into a shared sink.  Connect() manufactures a loopback connection
+// thread into a shared AsyncSink.  Connect() manufactures a loopback connection
 // (the in-process stand-in for accept()); Serve() adopts any transport —
 // e.g. an FdByteStream wrapping a socket accepted by TcpListener.
 class FrameServer {
  public:
-  explicit FrameServer(FrameConnection::ReportSink sink) : sink_(std::move(sink)) {}
-  // Ack-protocol server: HELLO-bound connections dispatch reports through
-  // `async_sink` and acknowledge from its completion; `sink` stays the
-  // legacy path for connections that never send HELLO.
-  FrameServer(FrameConnection::ReportSink sink, FrameConnection::AsyncSink async_sink)
-      : sink_(std::move(sink)), async_sink_(std::move(async_sink)) {}
+  // Connections dispatch their HELLO-bound reports through `sink` and
+  // acknowledge from its completion.
+  explicit FrameServer(FrameConnection::AsyncSink sink) : sink_(std::move(sink)) {}
   ~FrameServer();
 
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
-
-  // Mirrors every finished connection's ack book into the frontend's
-  // acks_sent/nacks_sent/duplicates_suppressed counters (and, for a
-  // cluster group, redirects_sent/misrouted_rejected).
-  void BindFrontendStats(FrontendStats* stats);
 
   // Cluster hooks, installed on every connection served from here on.
   // Set both before the first Connect/Serve; connections already being
@@ -448,13 +435,11 @@ class FrameServer {
   // Marks `serial` finished and prunes the registry's fences accordingly.
   void RetireSerial(uint64_t serial);
 
-  FrameConnection::ReportSink sink_;
-  FrameConnection::AsyncSink async_sink_;
+  FrameConnection::AsyncSink sink_;
   mutable Mutex mu_;
   FrameConnection::RouteCheck route_check_ GUARDED_BY(mu_);
   FrameConnection::GroupMapProvider group_map_provider_ GUARDED_BY(mu_);
   AckRegistry registry_;
-  FrontendStats* frontend_stats_ GUARDED_BY(mu_) = nullptr;  // borrowed
   std::vector<std::unique_ptr<Served>> served_ GUARDED_BY(mu_);  // being pumped
   FrameStreamStats stats_ GUARDED_BY(mu_);      // folded at Shutdown
   ConnectionAckBook ack_book_ GUARDED_BY(mu_);  // folded at Shutdown

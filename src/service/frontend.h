@@ -113,26 +113,16 @@ struct FrontendStats {
   // at Start().
   std::atomic<uint64_t> recovered_sessions{0};
   std::atomic<uint64_t> recovered_session_records{0};
-  // Acknowledgment-protocol books, mirrored from every finished
-  // connection's ConnectionAckBook by FrameServer::BindFrontendStats.  An
-  // ack is sent only after the report's durable spool append, so
-  // acks_sent <= reports_accepted always, with the difference being
-  // ack-less (legacy / direct AcceptReport) ingestion.
-  std::atomic<uint64_t> acks_sent{0};
-  std::atomic<uint64_t> nacks_sent{0};
-  std::atomic<uint64_t> duplicates_suppressed{0};
-  // Cluster routing books (src/service/cluster/).  On a group's frontend:
-  // routed counts reports this group accepted as owner; misrouted_rejected
-  // counts reports refused with a redirect NACK (mirrored into
-  // redirects_sent by the connection book, so the two track each other
-  // exactly — every rejection sent exactly one redirect).  On the merge
-  // side: merge_waits counts MergeEpoch calls that had to block for a
-  // missing group's seal, merge_shortfalls counts epochs merged after the
-  // barrier timed out with groups still missing (their late reports are
-  // accounted, never silently dropped).
+  // The acknowledgment-protocol books (acks, nacks, duplicates, redirects)
+  // live in the serving FrameServer's ack_book(), final after its Shutdown.
+  //
+  // Cluster books (src/service/cluster/).  On a group's frontend: routed
+  // counts reports this group accepted as owner.  On the merge side:
+  // merge_waits counts MergeEpoch calls that had to block for a missing
+  // group's seal, merge_shortfalls counts epochs merged after the barrier
+  // timed out with groups still missing (their late reports are accounted,
+  // never silently dropped).
   std::atomic<uint64_t> routed{0};
-  std::atomic<uint64_t> redirects_sent{0};
-  std::atomic<uint64_t> misrouted_rejected{0};
   std::atomic<uint64_t> merge_waits{0};
   std::atomic<uint64_t> merge_shortfalls{0};
 };

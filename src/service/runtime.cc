@@ -92,13 +92,9 @@ Status IngestWorkerPool::Enqueue(Bytes sealed_report) {
   return EnqueueImpl(std::move(sealed_report), ReportContext{}, nullptr);
 }
 
-void IngestWorkerPool::EnqueueAsync(Bytes sealed_report, Completion done) {
+void IngestWorkerPool::EnqueueAsync(Bytes sealed_report, ReportContext ctx, Completion done) {
   // The return value is redundant here: `done` fires exactly once with the
   // report's final outcome on every path, including enqueue-time failures.
-  (void)EnqueueImpl(std::move(sealed_report), ReportContext{}, std::move(done));
-}
-
-void IngestWorkerPool::EnqueueAsync(Bytes sealed_report, ReportContext ctx, Completion done) {
   (void)EnqueueImpl(std::move(sealed_report), ctx, std::move(done));
 }
 
@@ -117,10 +113,12 @@ Status IngestWorkerPool::EnqueueImpl(Bytes sealed_report, ReportContext ctx, Com
     // completion fires inside the barrier below — strictly before the
     // barrier returns (IngestWal's ordering contract), so the stack
     // captures cannot dangle.  Without a WAL it fires inline and the
-    // barrier is a no-op.
+    // barrier is a no-op.  With concurrent callers the completion may fire
+    // on another caller's thread (whichever leads the covering group
+    // commit), so `resolved` is atomic and publishes `final`.
     enqueued_.fetch_add(1, std::memory_order_relaxed);
     Status final = Status::Ok();
-    bool resolved = false;
+    std::atomic<bool> resolved{false};
     (void)frontend_->AcceptRoutedReportAsync(  // verdict arrives via the lambda
         shard, std::move(sealed_report), ctx, [&final, &resolved](const Status& status) {
           final = status;
@@ -190,23 +188,6 @@ void IngestWorkerPool::RecordAccept(const Status& status) {
   last_accept_error_ = status.error().message;
 }
 
-Status IngestWorkerPool::EnqueueFrameStream(ByteSpan stream) {
-  FrameReader reader(stream);
-  Status status = Status::Ok();
-  while (auto payload = reader.Next()) {
-    status = Enqueue(std::move(*payload));
-    if (!status.ok()) {
-      break;
-    }
-  }
-  // Folded on every path, like ShufflerFrontend::AcceptFrameStream: an early
-  // failure must not drop the frames the reader already accounted.
-  frames_ok_.fetch_add(reader.stats().frames_ok, std::memory_order_relaxed);
-  frames_corrupt_.fetch_add(reader.stats().frames_corrupt, std::memory_order_relaxed);
-  bytes_skipped_.fetch_add(reader.stats().bytes_skipped, std::memory_order_relaxed);
-  return status;
-}
-
 Status IngestWorkerPool::Flush() {
   for (auto& worker : workers_) {
     worker->WakeIfAsleep();
@@ -228,9 +209,6 @@ WorkerPoolStats IngestWorkerPool::stats() const {
   out.accepted = accepted_.load(std::memory_order_relaxed);
   out.accept_failures = accept_failures_.load(std::memory_order_relaxed);
   out.ring_full_waits = ring_full_waits_.load(std::memory_order_relaxed);
-  out.frames_ok = frames_ok_.load(std::memory_order_relaxed);
-  out.frames_corrupt = frames_corrupt_.load(std::memory_order_relaxed);
-  out.bytes_skipped = bytes_skipped_.load(std::memory_order_relaxed);
   MutexLock lock(stats_mu_);
   out.last_accept_error = last_accept_error_;
   return out;

@@ -60,9 +60,6 @@ struct WorkerPoolStats {
   // (after Flush/Stop): enqueued == accepted + accept_failures.
   uint64_t accept_failures = 0;
   uint64_t ring_full_waits = 0;  // back-pressure episodes on Enqueue
-  uint64_t frames_ok = 0;        // EnqueueFrameStream framing books
-  uint64_t frames_corrupt = 0;
-  uint64_t bytes_skipped = 0;
   std::string last_accept_error;
 };
 
@@ -94,18 +91,14 @@ class IngestWorkerPool {
   // pool is stopping.  The acknowledgment path hangs off this: a
   // FrameConnection ACKs a report from `done(Ok)`, so "acked" means
   // "durably spooled", never merely "handed to the runtime".
+  // `ctx` carries the report's (session, seq) so the WAL-backed frontend
+  // can fuse the ack commit into the report's own durable record
+  // (ReportContext{} for a report with no ack session).  Workers batch a
+  // run of ring items into the WAL and pay one group-commit fsync for the
+  // whole run (BarrierIngest), after which every item's `done` has fired —
+  // N concurrent reports, one fsync.
   using Completion = std::function<void(const Status&)>;
-  void EnqueueAsync(Bytes sealed_report, Completion done);
-  // Ack-protocol variant: `ctx` carries the report's (session, seq) so the
-  // WAL-backed frontend can fuse the ack commit into the report's own
-  // durable record.  Workers batch a run of ring items into the WAL and pay
-  // one group-commit fsync for the whole run (BarrierIngest), after which
-  // every item's `done` has fired — N concurrent reports, one fsync.
   void EnqueueAsync(Bytes sealed_report, ReportContext ctx, Completion done);
-  // Decodes a buffer of wire frames on the caller thread (cheap: CRC only)
-  // and enqueues each payload.  Corrupt frames are skipped with the books
-  // kept in stats(), mirroring ShufflerFrontend::AcceptFrameStream.
-  Status EnqueueFrameStream(ByteSpan stream);
 
   // Barrier: returns once every report enqueued so far has been ingested or
   // counted in accept_failures.  Does not block Enqueue from other threads;
@@ -168,9 +161,6 @@ class IngestWorkerPool {
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> accept_failures_{0};
   std::atomic<uint64_t> ring_full_waits_{0};
-  std::atomic<uint64_t> frames_ok_{0};
-  std::atomic<uint64_t> frames_corrupt_{0};
-  std::atomic<uint64_t> bytes_skipped_{0};
   std::string last_accept_error_ GUARDED_BY(stats_mu_);
 };
 

@@ -86,8 +86,9 @@ constexpr bool IsKnownFrameType(uint8_t type) {
 // The ack identity a report carries while it travels through the ingest
 // pipeline (connection -> worker pool -> frontend -> WAL): which session's
 // which sequence number this report settles.  session_id == 0 means
-// "ack-less" — the legacy synchronous sink and spool-internal replays,
-// which carry no commit record.
+// "ack-less" — in-process callers (AcceptReport, Enqueue) and spool-internal
+// replays, which carry no commit record.  A network connection always
+// carries its HELLO's non-zero session.
 struct ReportContext {
   uint64_t session_id = 0;
   uint64_t seq = 0;

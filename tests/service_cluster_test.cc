@@ -251,9 +251,10 @@ std::map<uint64_t, std::map<std::string, uint64_t>> SerialBaseline(
   return expected;
 }
 
-// Cross-layer balance: every rejection sent exactly one redirect NACK, the
-// clients followed every redirect they were sent, and each report was acked
-// by exactly one group.
+// Cross-layer balance: every group's report frames are all accounted in its
+// ack book, the clients followed every redirect they were sent, and each
+// report was acked by exactly one group.  Call after each group's server
+// has shut down, so its books are final.
 void ExpectClusterBooksBalance(const std::vector<ShardGroup*>& groups,
                                const std::vector<ClusterClientStats>& client_stats,
                                const std::vector<FrameClientStats>& folded_stats,
@@ -262,12 +263,13 @@ void ExpectClusterBooksBalance(const std::vector<ShardGroup*>& groups,
   uint64_t acked = 0;
   uint64_t redirects_sent = 0;
   for (ShardGroup* group : groups) {
-    const FrontendStats& stats = group->frontend().stats();
-    EXPECT_EQ(stats.misrouted_rejected.load(), stats.redirects_sent.load())
+    const ConnectionAckBook book = group->server().ack_book();
+    EXPECT_EQ(group->server().stats().frames_report,
+              book.acked + book.nacked + book.duplicates_suppressed + book.fenced + book.refused)
         << "group " << group->group_id();
-    accepted += stats.reports_accepted.load();
-    redirects_sent += stats.redirects_sent.load();
-    acked += group->server().ack_book().acked;
+    accepted += group->frontend().stats().reports_accepted.load();
+    redirects_sent += book.redirects_sent;
+    acked += book.acked;
   }
   EXPECT_EQ(accepted, total_reports);  // zero lost, zero duplicated
   EXPECT_EQ(acked, total_reports);

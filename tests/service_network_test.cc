@@ -131,10 +131,9 @@ struct NetworkRig {
   explicit NetworkRig(FrontendConfig config, size_t workers = 2, size_t ring = 64)
       : frontend(std::move(config)),
         pool(&frontend, WorkerPoolConfig{workers, ring}),
-        server([this](Bytes report) { return pool.Enqueue(std::move(report)); },
-               [this](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
-                 pool.EnqueueAsync(std::move(report), ctx, std::move(done));
-               }),
+        server([this](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
+          pool.EnqueueAsync(std::move(report), ctx, std::move(done));
+        }),
         listener(&server) {}
 
   ~NetworkRig() { Shutdown(); }
@@ -144,7 +143,6 @@ struct NetworkRig {
     pool.Start();
     drainer = std::make_unique<DrainScheduler>(&frontend);
     drainer->Start();
-    server.BindFrontendStats(&frontend.stats());
     ASSERT_TRUE(listener.Start().ok());
   }
 
@@ -208,19 +206,15 @@ Bytes SyntheticReport(uint64_t client, uint64_t index) {
 
 // The balance invariant every scenario must satisfy: each valid report
 // frame the server received got exactly one response or was dropped on a
-// fenced (stale) connection, first-time ingests match the frontend's
-// accepted count, and the mirrored FrontendStats books agree with the
-// server's.
+// fenced (stale) or session-less connection, and first-time ingests match
+// the frontend's accepted count.
 void ExpectAckBooksBalance(const NetworkRig& rig, uint64_t unique_reports) {
   ConnectionAckBook book = rig.server.ack_book();
   FrameStreamStats frames = rig.server.stats();
   EXPECT_EQ(book.acked, unique_reports);
-  EXPECT_EQ(frames.frames_report,
-            book.acked + book.nacked + book.duplicates_suppressed + book.fenced);
+  EXPECT_EQ(frames.frames_report, book.acked + book.nacked + book.duplicates_suppressed +
+                                      book.fenced + book.refused);
   EXPECT_EQ(rig.frontend.stats().reports_accepted.load(), unique_reports);
-  EXPECT_EQ(rig.frontend.stats().acks_sent.load(), book.acked);
-  EXPECT_EQ(rig.frontend.stats().nacks_sent.load(), book.nacked);
-  EXPECT_EQ(rig.frontend.stats().duplicates_suppressed.load(), book.duplicates_suppressed);
 }
 
 // --------------------------------------------------------------- happy path
@@ -399,6 +393,66 @@ TEST(ServiceNetworkTest, GoodbyeFencesAStaleConnectionsBufferedFrames) {
   EXPECT_EQ(client.stats().acked, kReports);
 }
 
+// ----------------------------------------------------- session-less reports
+
+TEST(ServiceNetworkTest, ReportsWithoutASessionAreRefusedUnanswered) {
+  ScratchDir dir("network-refused");
+  NetworkRig rig(NetworkFrontendConfig(dir.path));
+  rig.Start();
+
+  // One connection never sends HELLO; the other HELLOs with the reserved
+  // session 0.  Neither binds a session, so neither may ingest anything.
+  constexpr uint64_t kPerConnection = 6;
+  for (bool hello_zero : {false, true}) {
+    SCOPED_TRACE(hello_zero ? "hello(0)" : "no hello");
+    auto stream = rig.Dial();
+    ASSERT_TRUE(stream.ok()) << stream.error().message;
+    std::unique_ptr<ByteStream> raw = std::move(stream).value();
+    if (hello_zero) {
+      ASSERT_TRUE(raw->Write(EncodeHelloFrame(0)).ok());
+    }
+    for (uint64_t i = 0; i < kPerConnection; ++i) {
+      ASSERT_TRUE(raw->Write(EncodeReportFrame(i, SyntheticReport(hello_zero ? 2 : 1, i))).ok());
+    }
+    raw->CloseWrite();
+    // The server closes its side once the pump ends; nothing comes first.
+    size_t received = 0;
+    uint8_t buffer[256];
+    for (;;) {
+      auto n = raw->Read(std::span<uint8_t>(buffer, sizeof(buffer)));
+      ASSERT_TRUE(n.ok()) << n.error().message;
+      if (n.value() == 0) {
+        break;
+      }
+      received += n.value();
+    }
+    EXPECT_EQ(received, 0u);
+  }
+  ASSERT_TRUE(rig.pool.Flush().ok());
+  EXPECT_EQ(rig.frontend.stats().reports_accepted.load(), 0u);
+  ASSERT_NE(rig.frontend.wal(), nullptr);
+  EXPECT_EQ(rig.frontend.wal()->stats().appends, 0u);  // no WAL report record
+
+  // A client that does HELLO is served normally afterwards.
+  constexpr uint64_t kReports = 10;
+  FrameClient client(FrameClientConfig{/*session_id=*/55});
+  auto stream = rig.Dial();
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE(client.Connect(std::move(stream).value()).ok());
+  for (uint64_t i = 0; i < kReports; ++i) {
+    ASSERT_TRUE(client.SendReport(SyntheticReport(3, i)).ok());
+  }
+  ASSERT_TRUE(client.WaitForAcks(std::chrono::milliseconds(30000)));
+  client.Close();
+  ASSERT_TRUE(rig.server.Shutdown().ok());
+
+  EXPECT_EQ(client.stats().acked, kReports);
+  EXPECT_EQ(client.stats().nacked, 0u);
+  EXPECT_EQ(rig.server.ack_book().refused, 2 * kPerConnection);
+  EXPECT_EQ(rig.server.ack_book().fenced, 0u);
+  ExpectAckBooksBalance(rig, kReports);
+}
+
 // -------------------------------------------------- kill after frame, before ack
 
 TEST(ServiceNetworkTest, LostAcksAreRepairedByDuplicateSuppression) {
@@ -495,16 +549,13 @@ TEST(ServiceNetworkTest, NackedReportIsRetriedToSuccess) {
   IngestWorkerPool pool(&frontend, WorkerPoolConfig{2, 64});
   pool.Start();
   std::atomic<int> failures_left{3};
-  FrameServer server(
-      [&pool](Bytes report) { return pool.Enqueue(std::move(report)); },
-      [&](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
-        if (failures_left.fetch_sub(1) > 0) {
-          done(Error{"injected ingest failure"});
-          return;
-        }
-        pool.EnqueueAsync(std::move(report), ctx, std::move(done));
-      });
-  server.BindFrontendStats(&frontend.stats());
+  FrameServer server([&](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
+    if (failures_left.fetch_sub(1) > 0) {
+      done(Error{"injected ingest failure"});
+      return;
+    }
+    pool.EnqueueAsync(std::move(report), ctx, std::move(done));
+  });
   TcpListener listener(&server);
   ASSERT_TRUE(listener.Start().ok());
 

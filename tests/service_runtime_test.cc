@@ -1,5 +1,5 @@
-// The concurrent accept/drain ingestion runtime end to end: N producer
-// threads enqueue framed reports through FrameConnection/FrameServer and
+// The concurrent accept/drain ingestion runtime end to end: N FrameClient
+// sessions deliver reports through FrameConnection/FrameServer and
 // the IngestWorkerPool's lock-free rings, a background DrainScheduler
 // overlaps draining epoch e with accumulating e+1, and every per-epoch
 // histogram is pinned bit-identical to the single-threaded serial frontend
@@ -7,10 +7,11 @@
 // ring sizes, and across a simulated mid-epoch crash/reopen.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,11 +176,12 @@ TEST(ServiceRuntimeTest, TinyRingBackpressuresInsteadOfDropping) {
 
 // ------------------------------------------------- concurrent e2e bit-identity
 
-// The acceptance scenario: kProducers threads deliver each wave through
-// frame connections into the worker pool while the background drain thread
-// overlaps draining sealed epochs with the next wave's accumulation.  Epoch
-// membership is fixed by flushing before each cut, so every per-epoch
-// histogram must be bit-identical to the serial frontend's.
+// The acceptance scenario: kProducers FrameClients, each under its own
+// session, deliver each wave over loopback connections into the worker pool
+// while the background drain thread overlaps draining sealed epochs with
+// the next wave's accumulation.  Epoch membership is fixed by flushing
+// before each cut, so every per-epoch histogram must be bit-identical to
+// the serial frontend's.
 void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch) {
   constexpr int kWaves = 3;
   constexpr int kProducers = 4;
@@ -204,6 +206,10 @@ void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch
   auto expected = SerialEpochHistograms(base, waves, serial_dir.path);
   ASSERT_EQ(expected.size(), static_cast<size_t>(kWaves));
 
+  // Every server is kept to the end: the frontend's WAL holds a checkpoint
+  // hook on the registry it was last bound to, so a server must outlive the
+  // frontend it served.
+  std::vector<std::unique_ptr<FrameServer>> servers;
   FrontendConfig config = base;
   config.spool_dir = concurrent_dir.path;
   auto frontend = std::make_unique<ShufflerFrontend>(config);
@@ -215,47 +221,58 @@ void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch
                                                   DrainSchedulerConfig{std::chrono::milliseconds(1)});
   drainer->Start();
 
+  // A server wired the way ShardGroup wires one: reports go through the
+  // pool's async sink, and the registry is bound before any connection.
+  auto serve = [&]() -> FrameServer& {
+    servers.push_back(std::make_unique<FrameServer>(
+        [&](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
+          pool->EnqueueAsync(std::move(report), ctx, std::move(done));
+        }));
+    EXPECT_TRUE(frontend->BindAckRegistry(&servers.back()->registry()).ok());
+    return *servers.back();
+  };
+  // Sends `reports` over one loopback session and waits for every ACK.
+  auto deliver = [](FrameServer& server, uint64_t session_id, const std::vector<Bytes>& reports,
+                    size_t first, size_t stride) {
+    FrameClient client(FrameClientConfig{session_id});
+    ASSERT_TRUE(client.Connect(server.Connect(/*capacity_bytes=*/512)).ok());
+    for (size_t i = first; i < reports.size(); i += stride) {
+      ASSERT_TRUE(client.SendReport(reports[i]).ok());
+    }
+    ASSERT_TRUE(client.WaitForAcks(std::chrono::milliseconds(30000)));
+    client.Close();
+  };
+
   std::vector<EpochResult> results;
-  uint64_t delivered_frames = 0;
+  uint64_t delivered_reports = 0;
+  uint64_t next_session = 1;
   for (int wave = 0; wave < kWaves; ++wave) {
-    // Crash drill: after wave 1's producers delivered half their frames, the
-    // process "dies" (frontend dropped mid-epoch with a torn tail) and a new
-    // frontend recovers the spool, resumes the epoch, and finishes the wave.
+    // Crash drill: after wave 1's producers delivered half their reports,
+    // the process "dies" (frontend dropped mid-epoch with a torn tail) and a
+    // new frontend recovers the spool, resumes the epoch, and finishes the
+    // wave.
     const bool crash_this_wave = crash_mid_epoch && wave == 1;
 
-    FrameServer server([&](Bytes report) { return pool->Enqueue(std::move(report)); });
+    FrameServer& server = serve();
     std::vector<std::thread> producers;
     Rng arrival(0xA5 + wave);
-    std::vector<Bytes> frames;
     const auto& sealed = waves[wave];
     const size_t limit = crash_this_wave ? sealed.size() / 2 : sealed.size();
-    for (size_t i = 0; i < limit; ++i) {
-      frames.push_back(EncodeFrame(sealed[i]));
-    }
-    arrival.Shuffle(frames);
-    delivered_frames += frames.size();
+    std::vector<Bytes> reports(sealed.begin(), sealed.begin() + static_cast<ptrdiff_t>(limit));
+    arrival.Shuffle(reports);
+    delivered_reports += reports.size();
     for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&server, &frames, p] {
-        auto connection = server.Connect(/*capacity_bytes=*/512);
-        // Interleaved slice, written in deliberately awkward chunk sizes so
-        // frames split across reads and connections interleave at the pool.
-        size_t chunk = 3 + static_cast<size_t>(p) * 7;
-        for (size_t i = static_cast<size_t>(p); i < frames.size(); i += kProducers) {
-          const Bytes& frame = frames[i];
-          for (size_t off = 0; off < frame.size(); off += chunk) {
-            size_t len = std::min(chunk, frame.size() - off);
-            ASSERT_TRUE(connection->Write(ByteSpan(frame.data() + off, len)).ok());
-          }
-        }
-        connection->CloseWrite();
-      });
+      // Interleaved slices, so sessions interleave at the pool.
+      producers.emplace_back(deliver, std::ref(server), next_session++, std::cref(reports),
+                             static_cast<size_t>(p), static_cast<size_t>(kProducers));
     }
     for (auto& producer : producers) {
       producer.join();
     }
     ASSERT_TRUE(server.Shutdown().ok());
-    EXPECT_EQ(server.stats().frames_ok, frames.size());
+    EXPECT_EQ(server.stats().frames_report, reports.size());
     EXPECT_EQ(server.stats().frames_corrupt, 0u);
+    EXPECT_EQ(server.ack_book().acked, reports.size());
     ASSERT_TRUE(pool->Flush().ok());
 
     if (crash_this_wave) {
@@ -308,18 +325,10 @@ void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch
       drainer->Start();
 
       // Deliver the second half of the wave into the recovered epoch.
-      FrameServer resumed_server([&](Bytes report) { return pool->Enqueue(std::move(report)); });
-      std::vector<Bytes> rest;
-      for (size_t i = limit; i < sealed.size(); ++i) {
-        rest.push_back(EncodeFrame(sealed[i]));
-      }
-      delivered_frames += rest.size();
-      auto connection = resumed_server.Connect();
-      for (const auto& frame : rest) {
-        ASSERT_TRUE(connection->Write(frame).ok());
-      }
-      connection->CloseWrite();
-      connection.reset();
+      FrameServer& resumed_server = serve();
+      std::vector<Bytes> rest(sealed.begin() + static_cast<ptrdiff_t>(limit), sealed.end());
+      delivered_reports += rest.size();
+      deliver(resumed_server, next_session++, rest, 0, 1);
       ASSERT_TRUE(resumed_server.Shutdown().ok());
       ASSERT_TRUE(pool->Flush().ok());
     }
@@ -351,7 +360,7 @@ void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch
     EXPECT_EQ(epoch_result.result.histogram, it->second);
     drained_reports += epoch_result.reports;
   }
-  EXPECT_EQ(drained_reports, delivered_frames);
+  EXPECT_EQ(drained_reports, delivered_reports);
 }
 
 TEST(ServiceRuntimeTest, ConcurrentE2EMatchesSerialAtZeroWorkers) {
@@ -416,20 +425,23 @@ TEST(ServiceRuntimeTest, BackgroundDrainRetriesFailedEpochWithoutLosingIt) {
 TEST(ServiceRuntimeTest, FrameConnectionSkipsCorruptFramesAndKeepsBooks) {
   std::vector<Bytes> delivered;
   std::mutex mu;
-  FrameServer server([&](Bytes report) {
-    std::lock_guard<std::mutex> lock(mu);
-    delivered.push_back(std::move(report));
-    return Status::Ok();
+  FrameServer server([&](Bytes report, ReportContext, std::function<void(const Status&)> done) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      delivered.push_back(std::move(report));
+    }
+    done(Status::Ok());
   });
   auto connection = server.Connect();
 
-  Bytes stream;
-  AppendFrame(stream, ToBytes("first"));
+  Bytes stream = EncodeHelloFrame(/*session_id=*/7);
+  const size_t hello_size = stream.size();
+  AppendFrame(stream, FrameType::kReport, 0, ToBytes("first"));
   size_t corrupt_at = stream.size();
-  AppendFrame(stream, ToBytes("mangled"));
+  AppendFrame(stream, FrameType::kReport, 1, ToBytes("mangled"));
   stream[corrupt_at + kFrameHeaderSize] ^= 0x01;  // flip a payload bit: CRC fails
   stream.insert(stream.end(), {0xDE, 0xAD, 0xBE, 0xEF});  // inter-frame garbage
-  AppendFrame(stream, ToBytes("second"));
+  AppendFrame(stream, FrameType::kReport, 2, ToBytes("second"));
 
   // Dribble the stream one byte at a time: worst-case reassembly.
   for (uint8_t byte : stream) {
@@ -442,11 +454,12 @@ TEST(ServiceRuntimeTest, FrameConnectionSkipsCorruptFramesAndKeepsBooks) {
   EXPECT_EQ(ToString(delivered[0]), "first");
   EXPECT_EQ(ToString(delivered[1]), "second");
   FrameStreamStats stats = server.stats();
-  EXPECT_EQ(stats.frames_ok, 2u);
+  EXPECT_EQ(stats.frames_ok, 3u);  // the HELLO and both good reports
   EXPECT_EQ(stats.frames_corrupt, 1u);
+  EXPECT_EQ(server.ack_book().acked, 2u);
   // Balance: every byte is a good frame, a corrupt frame's magic, or skipped
   // garbage — the FrameReader invariant holds across chunked delivery too.
-  EXPECT_EQ(stream.size(), FrameWireSize(5) + FrameWireSize(6) + stats.bytes_skipped);
+  EXPECT_EQ(stream.size(), hello_size + FrameWireSize(5) + FrameWireSize(6) + stats.bytes_skipped);
 }
 
 }  // namespace
