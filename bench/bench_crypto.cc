@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/json_out.h"
+#include "src/core/analyzer.h"
 #include "src/core/report.h"
 #include "src/crypto/ecdsa.h"
 #include "src/crypto/elgamal.h"
@@ -50,10 +51,10 @@ void BM_P256_ScalarMult(benchmark::State& state) {
 }
 BENCHMARK(BM_P256_ScalarMult);
 
-// The constant-time ladder for Secret<> scalars (fixed-window, full-scan
-// masked lookups): the long-term-key path.  The gap against
-// BM_P256_ScalarMult is the price of timing hygiene — paid per key
-// operation, never on the batch surfaces.
+// The constant-time lane for Secret<> scalars (fixed-window, full-scan
+// masked lookups) as a batch of one: a single long-term-key operation.  The
+// gap against BM_P256_ScalarMult is the price of timing hygiene for one
+// item; BM_P256_BatchScalarMultSecret256 is the per-item cost in a chunk.
 void BM_P256_ScalarMultSecret(benchmark::State& state) {
   SecureRandom rng(ToBytes("bench-ec-ct"));
   const P256& curve = P256::Get();
@@ -80,25 +81,25 @@ void BM_P256_ScalarMult_DoubleAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_P256_ScalarMult_DoubleAdd);
 
-// Batched variable-base multiplication in the decrypt shape: 256 distinct
-// ephemeral points, one private scalar.  All odd-multiple wNAF tables are
-// normalized with one shared inversion (mixed additions in every main loop)
-// and the results with a second.
-void BM_P256_BatchScalarMult256(benchmark::State& state) {
+// The batched constant-time lane in the decrypt shape: 256 distinct
+// ephemeral points, one secret scalar.  The chunk's tables share one affine
+// normalization and the scalar is recoded once; every window is 4 ct
+// doublings, a masked lookup and a ct mixed addition.  The affine results
+// take one Fermat inverse (BatchNormalizeCt).
+void BM_P256_BatchScalarMultSecret256(benchmark::State& state) {
   SecureRandom rng(ToBytes("bench-ec-batchvar"));
   const P256& curve = P256::Get();
-  U256 k = rng.RandomScalar(curve.order());
+  Secret<U256> k = rng.RandomSecretScalar(curve.order());
   std::vector<EcPoint> points;
   for (int i = 0; i < 256; ++i) {
     points.push_back(curve.BaseMult(rng.RandomScalar(curve.order())));
   }
-  std::vector<U256> scalars(points.size(), k);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(curve.BatchScalarMult(points, scalars));
+    benchmark::DoNotOptimize(curve.BatchNormalizeCt(curve.BatchScalarMultSecret(points, k)));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
 }
-BENCHMARK(BM_P256_BatchScalarMult256);
+BENCHMARK(BM_P256_BatchScalarMultSecret256);
 
 // The generic double-and-add path on G, bypassing the fixed-base table —
 // the baseline every BaseMult used to pay.
@@ -193,6 +194,25 @@ void BM_BatchOpenReports256(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
 }
 BENCHMARK(BM_BatchOpenReports256);
+
+// The analyzer's inner-box open, amortized over 256 boxes: deserialize,
+// the batched ct ECDH in 64-box chunks, AEAD, unpad.  Sequential (no pool),
+// so the row is the per-box CPU cost.
+void BM_AnalyzerDecryptBatch256(benchmark::State& state) {
+  SecureRandom rng(ToBytes("bench-analyzer-open"));
+  Analyzer analyzer = Analyzer::Create(rng);
+  std::vector<Bytes> boxes;
+  for (int i = 0; i < 256; ++i) {
+    HybridBox box = HybridSeal(analyzer.public_key(), *PadPayload(Bytes(60, 0x33), 64),
+                               kAnalyzerLayerContext, rng);
+    boxes.push_back(box.Serialize());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analyzer.DecryptBatch(boxes));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
+}
+BENCHMARK(BM_AnalyzerDecryptBatch256);
 
 // The §5.2 claim: "at a minimal computational cost to clients (less than
 // 50 µs per encoding)" with OpenSSL on the paper's Xeon.

@@ -118,10 +118,13 @@ done
 
 echo "== bench smoke =="
 # Tiny runs: confirm the benches execute and emit their BENCH_*.json files.
-(cd "$BUILD_DIR" && ./bench_crypto --benchmark_filter='BaseMult' --benchmark_min_time=0.05)
+(cd "$BUILD_DIR" && ./bench_crypto --benchmark_filter='BaseMult|BatchScalarMultSecret' --benchmark_min_time=0.05)
 (cd "$BUILD_DIR" && PROCHLO_STASH_MAX_N=10000 PROCHLO_STASH_THREADS=0 ./bench_stash_shuffle)
 (cd "$BUILD_DIR" && PROCHLO_INGEST_N=500 ./bench_ingest)
 test -s "$BUILD_DIR/BENCH_crypto.json"
+# The batched ct lane carries every long-term-key open; a broken lane must
+# not drop its row silently.
+grep -q 'BM_P256_BatchScalarMultSecret256' "$BUILD_DIR/BENCH_crypto.json"
 test -s "$BUILD_DIR/BENCH_stash_shuffle.json"
 test -s "$BUILD_DIR/BENCH_ingest.json"
 # The ingest bench must include the multi-group cluster stage (a silent

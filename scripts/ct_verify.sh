@@ -2,9 +2,10 @@
 # Dynamic constant-time verification (ctgrind-style).
 #
 # Drives build/ct_harness under valgrind:
-#   1. Positives: the four real crypto scenarios (ecdh, elgamal-decrypt,
-#      gcm-verify, hmac-verify) must produce ZERO shadow-state errors —
-#      no branch or memory address may depend on poisoned secret bytes.
+#   1. Positives: the six real crypto scenarios (ecdh, elgamal-decrypt,
+#      ecdh-batch, elgamal-decrypt-batch, gcm-verify, hmac-verify) must
+#      produce ZERO shadow-state errors — no branch or memory address may
+#      depend on poisoned secret bytes.
 #   2. Negatives: the planted violations (--inject=branch|index|tag-memcmp)
 #      MUST be reported.  A verifier that stays quiet on a planted bug is
 #      not evidence of anything.
@@ -51,7 +52,7 @@ fi
 
 fail=0
 
-for scenario in ecdh elgamal-decrypt gcm-verify hmac-verify; do
+for scenario in ecdh elgamal-decrypt ecdh-batch elgamal-decrypt-batch gcm-verify hmac-verify; do
   log="$(mktemp)"
   if "${VALGRIND[@]}" "$HARNESS" "$scenario" >/dev/null 2>"$log"; then
     echo "ct-verify: PASS $scenario (no secret-dependent branches or indices)"
@@ -76,4 +77,4 @@ if [ "$fail" -ne 0 ]; then
   echo "ct-verify: FAIL" >&2
   exit 1
 fi
-echo "ct-verify: OK (4 scenarios shadow-clean, 3 planted violations caught)"
+echo "ct-verify: OK (6 scenarios shadow-clean, 3 planted violations caught)"

@@ -1,5 +1,6 @@
 #include "src/core/analyzer.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "src/crypto/secret_share.h"
@@ -8,12 +9,33 @@ namespace prochlo {
 
 std::vector<Bytes> Analyzer::DecryptBatch(const std::vector<Bytes>& inner_boxes,
                                           ThreadPool* pool) {
-  stats_.received += inner_boxes.size();
-  std::vector<std::optional<Bytes>> slots(inner_boxes.size());
-  ParallelFor(pool, inner_boxes.size(), [&](size_t i) {
-    auto padded = OpenInnerBox(keys_, inner_boxes[i]);
-    if (padded.has_value()) {
-      slots[i] = UnpadPayload(*padded);
+  // The inner ECDH runs on HybridOpenBatch's batched ct lane, in fixed
+  // chunks (not pool-derived) so the payloads are bit-identical at any
+  // thread count, as in BatchOpenReports.  The chunks are smaller than the
+  // shuffler's: the analyzer opens only the thresholded survivors, a few
+  // thousand boxes an epoch, and small chunks keep every worker busy.
+  constexpr size_t kOpenChunk = 64;
+  const size_t n = inner_boxes.size();
+  stats_.received += n;
+  std::vector<std::optional<Bytes>> slots(n);
+  ParallelFor(pool, (n + kOpenChunk - 1) / kOpenChunk, [&](size_t c) {
+    const size_t begin = c * kOpenChunk;
+    const size_t end = std::min(n, begin + kOpenChunk);
+    // A box that fails to deserialize keeps a default HybridBox, whose
+    // empty ephemeral key makes HybridOpenBatch fail that slot alone.
+    std::vector<HybridBox> boxes(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      auto box = HybridBox::Deserialize(inner_boxes[i]);
+      if (box.has_value()) {
+        boxes[i - begin] = std::move(*box);
+      }
+    }
+    std::vector<std::optional<Bytes>> opened =
+        HybridOpenBatch(keys_, boxes, kAnalyzerLayerContext);
+    for (size_t i = begin; i < end; ++i) {
+      if (opened[i - begin].has_value()) {
+        slots[i] = UnpadPayload(*opened[i - begin]);
+      }
     }
   });
 

@@ -30,7 +30,9 @@ class Analyzer {
   const EcPoint& public_key() const { return keys_.public_key; }
 
   // Decrypts a batch of inner boxes to (unpadded) payloads; undecryptable
-  // records are counted and skipped.
+  // records are counted and skipped.  The inner ECDH runs on the batched
+  // constant-time lane (HybridOpenBatch) in fixed 64-box chunks, spread
+  // over `pool` when one is given; the payloads do not depend on it.
   std::vector<Bytes> DecryptBatch(const std::vector<Bytes>& inner_boxes,
                                   ThreadPool* pool = nullptr);
 

@@ -13,9 +13,9 @@ Result<std::vector<BlindedItem>> BlindShuffler1::Process(const std::vector<Bytes
                                                          SecureRandom& rng, ThreadPool* pool) {
   stats_.received += reports.size();
 
-  // Open the outer layer through the batched variable-base path (the ECDH
-  // against each report's ephemeral key dominates; one shared inversion per
-  // chunk), then filter out records in the wrong pipeline mode.
+  // Open the outer layer through the batched ct lane (the ECDH against each
+  // report's ephemeral key dominates; one shared inversion per chunk), then
+  // filter out records in the wrong pipeline mode.
   std::vector<std::optional<ShufflerView>> slots = BatchOpenReports(keys_, reports, pool);
   for (auto& slot : slots) {
     if (slot.has_value() && (slot->crowd.mode != CrowdIdMode::kBlinded ||

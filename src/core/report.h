@@ -90,7 +90,7 @@ std::optional<ShufflerView> OpenReport(const KeyPair& shuffler_keys, ByteSpan re
 // Batch analogue of OpenReport — the shuffler-side counterpart of
 // BatchSealReports, and the decrypt half of the paper's Table 2/3 cost.
 // Every report carries a distinct ephemeral key, so the outer-layer ECDH
-// runs on the batched variable-base wNAF path (HybridOpenBatch), in fixed
+// runs on the batched constant-time lane (HybridOpenBatch), in fixed
 // 256-report chunks so results are identical with and without a pool; AEAD
 // and parsing fan out across `pool` when one is supplied.  Slot i is
 // nullopt exactly when OpenReport(shuffler_keys, reports[i]) would fail.

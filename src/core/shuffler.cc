@@ -89,8 +89,8 @@ Result<std::vector<Bytes>> Shuffler::ProcessStream(RecordStream& reports, Secure
       }
       return view->Serialize();
     };
-    // Bulk opens go through the batched variable-base path: one shared
-    // inversion per chunk of ECDH opens instead of per-report conversions.
+    // Bulk opens go through the batched ct lane: one shared inversion per
+    // chunk of ECDH opens instead of per-report conversions.
     options.open_outer_batch = [this](const std::vector<Bytes>& records,
                                       ThreadPool* open_pool) {
       std::vector<std::optional<ShufflerView>> views =

@@ -88,71 +88,50 @@ uint64_t NegInverse64(uint64_t m) {
 constexpr uint64_t kP256Limbs[4] = {0xFFFFFFFFFFFFFFFFull, 0x00000000FFFFFFFFull, 0ull,
                                     0xFFFFFFFF00000001ull};
 
-// Montgomery reduction of a 512-bit value for the P-256 prime, in place:
-// computes (v + sum_i m_i*p*2^{64i}) >> 256 < 2p, then one conditional
-// subtract.  Because -p^{-1} mod 2^64 = 1, each round's quotient digit is
-// just the current low limb, and because p's limbs are 2^64-1, 2^32-1, 0,
-// and 2^64-2^32+1, the m*p partial products are shifts and subtractions the
-// compiler strength-reduces — no multiplications in the reduction at all.
-// kCt = true produces the constant-time variant: the carry after each
-// round's five fixed limbs propagates unconditionally across the remaining
-// limbs (the variable-time version stops as soon as the carry dies, which
-// leaks how far secret-dependent carries ran), and the final subtract is a
-// masked select instead of a branchy ternary.
-template <bool kCt>
-inline U256 MontRedcP256(uint64_t v[8]) {
-  uint64_t top = 0;  // carries out of v[7]
-  for (int i = 0; i < 4; ++i) {
-    const uint64_t m = v[i];
-    // m * p limb products (constants; strength-reduced to shifts/adds).
-    const __uint128_t q0 = (static_cast<__uint128_t>(m) << 64) - m;  // m * (2^64 - 1)
-    const __uint128_t q1 = (static_cast<__uint128_t>(m) << 32) - m;  // m * (2^32 - 1)
-    const __uint128_t q3 = (static_cast<__uint128_t>(m) << 64) -
-                           (static_cast<__uint128_t>(m) << 32) + m;  // m * p[3]
-    __uint128_t t = static_cast<__uint128_t>(v[i]) + static_cast<uint64_t>(q0);
-    v[i] = static_cast<uint64_t>(t);  // always 0: the round is built to clear it
-    uint64_t c = static_cast<uint64_t>(t >> 64);
-    t = static_cast<__uint128_t>(v[i + 1]) + static_cast<uint64_t>(q1) +
-        static_cast<uint64_t>(q0 >> 64) + c;
-    v[i + 1] = static_cast<uint64_t>(t);
-    c = static_cast<uint64_t>(t >> 64);
-    t = static_cast<__uint128_t>(v[i + 2]) + static_cast<uint64_t>(q1 >> 64) + c;
-    v[i + 2] = static_cast<uint64_t>(t);
-    c = static_cast<uint64_t>(t >> 64);
-    t = static_cast<__uint128_t>(v[i + 3]) + static_cast<uint64_t>(q3) + c;
-    v[i + 3] = static_cast<uint64_t>(t);
-    c = static_cast<uint64_t>(t >> 64);
-    t = static_cast<__uint128_t>(v[i + 4]) + static_cast<uint64_t>(q3 >> 64) + c;
-    v[i + 4] = static_cast<uint64_t>(t);
-    c = static_cast<uint64_t>(t >> 64);
-    if constexpr (kCt) {
-      for (int j = i + 5; j < 8; ++j) {
-        t = static_cast<__uint128_t>(v[j]) + c;
-        v[j] = static_cast<uint64_t>(t);
-        c = static_cast<uint64_t>(t >> 64);
-      }
-    } else {
-      for (int j = i + 5; j < 8 && c != 0; ++j) {
-        t = static_cast<__uint128_t>(v[j]) + c;
-        v[j] = static_cast<uint64_t>(t);
-        c = static_cast<uint64_t>(t >> 64);
-      }
-    }
-    top += c;  // nonzero only when the carry ran off v[7]
-  }
-  U256 result{{v[4], v[5], v[6], v[7]}};
+// One Montgomery round for the P-256 prime on five consecutive limbs
+// (v0 is the limb being cleared).  Because -p^{-1} mod 2^64 = 1, the
+// quotient digit is v0 itself, and because p + 1 = 2^256 - 2^224 + 2^192 +
+// 2^96, adding m*p clears v0 and adds m * (p + 1) / 2^64 =
+// m*2^32 + m*p[3]*2^128 to the limbs above it: two shifts and one
+// multiplication by the constant p[3] = 2^64 - 2^32 + 1.  `carry` enters as
+// the carry out of the previous round's top limb (which is this round's v4)
+// and leaves as this round's.
+inline void MontRoundP256(uint64_t v0, uint64_t& v1, uint64_t& v2, uint64_t& v3,
+                          uint64_t& v4, uint64_t& carry) {
+  const uint64_t m = v0;
+  const __uint128_t q3 = static_cast<__uint128_t>(m) * kP256Limbs[3];
+  __uint128_t t = static_cast<__uint128_t>(v1) + (m << 32);
+  v1 = static_cast<uint64_t>(t);
+  t = static_cast<__uint128_t>(v2) + (m >> 32) + static_cast<uint64_t>(t >> 64);
+  v2 = static_cast<uint64_t>(t);
+  t = static_cast<__uint128_t>(v3) + static_cast<uint64_t>(q3) + static_cast<uint64_t>(t >> 64);
+  v3 = static_cast<uint64_t>(t);
+  t = static_cast<__uint128_t>(v4) + static_cast<uint64_t>(q3 >> 64) +
+      static_cast<uint64_t>(t >> 64) + carry;
+  v4 = static_cast<uint64_t>(t);
+  carry = static_cast<uint64_t>(t >> 64);
+}
+
+// Montgomery reduction of a 512-bit value for the P-256 prime:
+// (w + sum_i m_i*p*2^{64i}) >> 256, which is < 2p, then one masked subtract.
+// Branch-free and register-resident: the eight limbs are locals, each
+// round's carry runs into the next round's top limb instead of through a
+// propagation loop, and the final correction is an arithmetic select.  So
+// the same code serves the variable-time and the constant-time entry points.
+inline U256 MontRedcP256(const std::array<uint64_t, 8>& w) {
+  uint64_t v1 = w[1], v2 = w[2], v3 = w[3], v4 = w[4];
+  uint64_t v5 = w[5], v6 = w[6], v7 = w[7];
+  uint64_t carry = 0;
+  MontRoundP256(w[0], v1, v2, v3, v4, carry);
+  MontRoundP256(v1, v2, v3, v4, v5, carry);
+  MontRoundP256(v2, v3, v4, v5, v6, carry);
+  MontRoundP256(v3, v4, v5, v6, v7, carry);
+  const U256 result{{v4, v5, v6, v7}};
   const U256 p{{kP256Limbs[0], kP256Limbs[1], kP256Limbs[2], kP256Limbs[3]}};
   U256 reduced;
   uint64_t borrow = SubWithBorrow(result, p, &reduced);
-  if constexpr (kCt) {
-    return ct::CtSelect(ct::NonZeroMask(top | (borrow ^ 1)), reduced, result);
-  } else {
-    uint64_t need = top | static_cast<uint64_t>(borrow == 0);
-    for (int i = 0; i < 4; ++i) {
-      result.limbs[i] = need ? reduced.limbs[i] : result.limbs[i];
-    }
-    return result;
-  }
+  // Subtract iff the value overflowed 2^256 or is >= p.
+  return ct::CtSelect(ct::NonZeroMask(carry | (borrow ^ 1)), reduced, result);
 }
 
 // Full 512-bit square, column-wise (Comba): 10 limb products instead of
@@ -282,7 +261,7 @@ inline void MontMulCios(const U256& a, const U256& b, const U256& modulus, uint6
 U256 ModField::MontMul(const U256& a, const U256& b) const {
   if (p256_fast_) {
     auto wide = MulWide(a, b);
-    return MontRedcP256<false>(wide.data());
+    return MontRedcP256(wide);
   }
   uint64_t t[6];
   MontMulCios(a, b, modulus_, n0_inv_, t);
@@ -298,7 +277,7 @@ U256 ModField::MontMul(const U256& a, const U256& b) const {
 U256 ModField::MontSqr(const U256& a) const {
   if (p256_fast_) {
     auto wide = SqrWide(a);
-    return MontRedcP256<false>(wide.data());
+    return MontRedcP256(wide);
   }
   return MontMul(a, a);
 }
@@ -446,33 +425,9 @@ U256 ModField::Reduce(const U256& a) const {
 // branches, cmovs, or data-dependent loop trips.  The `p256_fast_` branch is
 // fine: it depends on the (public) modulus, never on the operands.
 
-U256 ModField::AddCt(const U256& a, const U256& b) const {
-  U256 sum;
-  uint64_t carry = AddWithCarry(a, b, &sum);
-  U256 reduced;
-  uint64_t borrow = SubWithBorrow(sum, modulus_, &reduced);
-  // Keep the reduced value iff the add overflowed 2^256 or sum >= modulus.
-  return ct::CtSelect(ct::NonZeroMask(carry | (borrow ^ 1)), reduced, sum);
-}
-
-U256 ModField::SubCt(const U256& a, const U256& b) const {
-  U256 diff;
-  uint64_t borrow = SubWithBorrow(a, b, &diff);
-  U256 wrapped;
-  AddWithCarry(diff, modulus_, &wrapped);
-  return ct::CtSelect(ct::NonZeroMask(borrow), wrapped, diff);
-}
-
-U256 ModField::NegCt(const U256& a) const {
-  U256 out;
-  SubWithBorrow(modulus_, a, &out);
-  return ct::CtSelect(ct::IsZeroMask(a), a, out);
-}
-
 U256 ModField::MontMulCt(const U256& a, const U256& b) const {
   if (p256_fast_) {
-    auto wide = MulWide(a, b);
-    return MontRedcP256<true>(wide.data());
+    return MontMul(a, b);  // the P-256 kernel is branch-free already
   }
   uint64_t t[6];
   MontMulCios(a, b, modulus_, n0_inv_, t);
@@ -484,8 +439,7 @@ U256 ModField::MontMulCt(const U256& a, const U256& b) const {
 
 U256 ModField::MontSqrCt(const U256& a) const {
   if (p256_fast_) {
-    auto wide = SqrWide(a);
-    return MontRedcP256<true>(wide.data());
+    return MontSqr(a);  // the P-256 kernel is branch-free already
   }
   return MontMulCt(a, a);
 }

@@ -85,6 +85,80 @@ inline U256 ShiftRight1(const U256& a) {
   return out;
 }
 
+// ------------------------------------------------- constant-time masks
+//
+// The branch-free select/compare primitives of the ct lane (src/crypto/ct.h
+// holds the rest of it: Secret<T>, CtEq, CtTableLookup, the harness
+// hooks).  They live here, next to U256, because the inline ct field ops
+// of ModField below are built from them.
+namespace ct {
+
+// Optimization barrier: the compiler must treat `v` as an opaque value it
+// cannot constant-fold, range-analyze, or re-branch on.  This is what stops
+// a sufficiently clever optimizer from rewriting `b ^ (mask & (a ^ b))`
+// back into the branch it replaced.
+inline uint64_t ValueBarrier(uint64_t v) {
+#if defined(__GNUC__) || defined(__clang__)
+  __asm__("" : "+r"(v) : /* no inputs */ :);
+#endif
+  return v;
+}
+
+// All-ones when v != 0, all-zeros when v == 0.
+inline uint64_t NonZeroMask(uint64_t v) {
+  // (v | -v) has its top bit set iff v != 0; arithmetic negate of that bit
+  // smears it across the word.
+  return ValueBarrier(0 - ((v | (0 - v)) >> 63));
+}
+
+// All-ones when v == 0, all-zeros otherwise.
+inline uint64_t IsZeroMask(uint64_t v) { return ~NonZeroMask(v); }
+
+// All-ones when a == b.
+inline uint64_t EqMask(uint64_t a, uint64_t b) { return IsZeroMask(a ^ b); }
+
+// mask ? a : b, where mask is all-ones or all-zeros.
+inline uint64_t CtSelect(uint64_t mask, uint64_t a, uint64_t b) {
+  return b ^ (mask & (a ^ b));
+}
+
+// Conditionally exchanges a and b when mask is all-ones.
+inline void CtSwap(uint64_t mask, uint64_t& a, uint64_t& b) {
+  uint64_t t = mask & (a ^ b);
+  a ^= t;
+  b ^= t;
+}
+
+// ---------------------------------------------------------------- U256 forms
+
+// All-ones when a == 0.
+inline uint64_t IsZeroMask(const U256& a) {
+  return IsZeroMask(a.limbs[0] | a.limbs[1] | a.limbs[2] | a.limbs[3]);
+}
+
+// All-ones when a == b (the constant-time replacement for U256::operator==,
+// whose defaulted memberwise compare is free to short-circuit).
+inline uint64_t EqMask(const U256& a, const U256& b) {
+  return IsZeroMask(U256{{a.limbs[0] ^ b.limbs[0], a.limbs[1] ^ b.limbs[1],
+                          a.limbs[2] ^ b.limbs[2], a.limbs[3] ^ b.limbs[3]}});
+}
+
+inline U256 CtSelect(uint64_t mask, const U256& a, const U256& b) {
+  U256 out;
+  for (int i = 0; i < 4; ++i) {
+    out.limbs[i] = CtSelect(mask, a.limbs[i], b.limbs[i]);
+  }
+  return out;
+}
+
+inline void CtSwap(uint64_t mask, U256& a, U256& b) {
+  for (int i = 0; i < 4; ++i) {
+    CtSwap(mask, a.limbs[i], b.limbs[i]);
+  }
+}
+
+}  // namespace ct
+
 // Modular arithmetic for an odd 256-bit modulus, Montgomery-based.
 // All public entry points take and return values in the *normal* domain.
 class ModField {
@@ -150,7 +224,8 @@ class ModField {
   // multiplication and converts only at the edges).  When the modulus is the
   // P-256 prime, both take a specialized path: the prime's sparse limbs
   // (2^256 - 2^224 + 2^192 + 2^96 - 1, with -p^{-1} = 1 mod 2^64) turn every
-  // reduction round into shifts and adds, no multiplications.
+  // reduction round into two shifts and one multiplication by a constant,
+  // and the reduction is branch-free, so the Ct twins below share it.
   U256 MontMul(const U256& a, const U256& b) const;
   // a*a, using the squaring schoolbook (the ~10-mul cross-term/diagonal
   // split) on the specialized path; identical result to MontMul(a, a).
@@ -163,11 +238,29 @@ class ModField {
   // Bit-identical to the variable-time entry points above, but with no
   // secret-dependent branches, conditional moves, early-exit carry loops, or
   // data-dependent iteration counts: every select is an arithmetic mask
-  // (src/crypto/ct.h).  Out of line on purpose — the hot public paths keep
-  // the inline/branchy versions, so none of their codegen changes.
-  U256 AddCt(const U256& a, const U256& b) const;
-  U256 SubCt(const U256& a, const U256& b) const;
-  U256 NegCt(const U256& a) const;
+  // (ct:: above).  The additions are inline, like Add/Sub/Neg, because the
+  // ct point formulas call them between every pair of multiplications; the
+  // multiplications stay out of line.
+  U256 AddCt(const U256& a, const U256& b) const {
+    U256 sum;
+    uint64_t carry = AddWithCarry(a, b, &sum);
+    U256 reduced;
+    uint64_t borrow = SubWithBorrow(sum, modulus_, &reduced);
+    // Keep the reduced value iff the add overflowed 2^256 or sum >= modulus.
+    return ct::CtSelect(ct::NonZeroMask(carry | (borrow ^ 1)), reduced, sum);
+  }
+  U256 SubCt(const U256& a, const U256& b) const {
+    U256 diff;
+    uint64_t borrow = SubWithBorrow(a, b, &diff);
+    U256 wrapped;
+    AddWithCarry(diff, modulus_, &wrapped);
+    return ct::CtSelect(ct::NonZeroMask(borrow), wrapped, diff);
+  }
+  U256 NegCt(const U256& a) const {
+    U256 out;
+    SubWithBorrow(modulus_, a, &out);
+    return ct::CtSelect(ct::IsZeroMask(a), a, out);
+  }
   U256 MontMulCt(const U256& a, const U256& b) const;
   U256 MontSqrCt(const U256& a) const;
   U256 ToMontCt(const U256& a) const { return MontMulCt(a, r2_); }

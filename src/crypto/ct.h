@@ -50,69 +50,9 @@
 namespace prochlo {
 namespace ct {
 
-// Optimization barrier: the compiler must treat `v` as an opaque value it
-// cannot constant-fold, range-analyze, or re-branch on.  This is what stops
-// a sufficiently clever optimizer from rewriting `b ^ (mask & (a ^ b))`
-// back into the branch it replaced.
-inline uint64_t ValueBarrier(uint64_t v) {
-#if defined(__GNUC__) || defined(__clang__)
-  __asm__("" : "+r"(v) : /* no inputs */ :);
-#endif
-  return v;
-}
-
-// All-ones when v != 0, all-zeros when v == 0.
-inline uint64_t NonZeroMask(uint64_t v) {
-  // (v | -v) has its top bit set iff v != 0; arithmetic negate of that bit
-  // smears it across the word.
-  return ValueBarrier(0 - ((v | (0 - v)) >> 63));
-}
-
-// All-ones when v == 0, all-zeros otherwise.
-inline uint64_t IsZeroMask(uint64_t v) { return ~NonZeroMask(v); }
-
-// All-ones when a == b.
-inline uint64_t EqMask(uint64_t a, uint64_t b) { return IsZeroMask(a ^ b); }
-
-// mask ? a : b, where mask is all-ones or all-zeros.
-inline uint64_t CtSelect(uint64_t mask, uint64_t a, uint64_t b) {
-  return b ^ (mask & (a ^ b));
-}
-
-// Conditionally exchanges a and b when mask is all-ones.
-inline void CtSwap(uint64_t mask, uint64_t& a, uint64_t& b) {
-  uint64_t t = mask & (a ^ b);
-  a ^= t;
-  b ^= t;
-}
-
-// ---------------------------------------------------------------- U256 forms
-
-// All-ones when a == 0.
-inline uint64_t IsZeroMask(const U256& a) {
-  return IsZeroMask(a.limbs[0] | a.limbs[1] | a.limbs[2] | a.limbs[3]);
-}
-
-// All-ones when a == b (the constant-time replacement for U256::operator==,
-// whose defaulted memberwise compare is free to short-circuit).
-inline uint64_t EqMask(const U256& a, const U256& b) {
-  return IsZeroMask(U256{{a.limbs[0] ^ b.limbs[0], a.limbs[1] ^ b.limbs[1],
-                          a.limbs[2] ^ b.limbs[2], a.limbs[3] ^ b.limbs[3]}});
-}
-
-inline U256 CtSelect(uint64_t mask, const U256& a, const U256& b) {
-  U256 out;
-  for (int i = 0; i < 4; ++i) {
-    out.limbs[i] = CtSelect(mask, a.limbs[i], b.limbs[i]);
-  }
-  return out;
-}
-
-inline void CtSwap(uint64_t mask, U256& a, U256& b) {
-  for (int i = 0; i < 4; ++i) {
-    CtSwap(mask, a.limbs[i], b.limbs[i]);
-  }
-}
+// The mask primitives (ValueBarrier, NonZeroMask, IsZeroMask, EqMask,
+// CtSelect, CtSwap) live in bignum.h, next to U256, so the inline ct field
+// ops there can use them; every includer of this header sees them.
 
 // Fixed-scan byte equality: reads every byte of both spans regardless of
 // where they first differ (a byte-wise early-exit compare on a MAC tag is a

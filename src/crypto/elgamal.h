@@ -42,9 +42,10 @@ ElGamalCiphertext ElGamalEncrypt(const EcPoint& recipient_public, const EcPoint&
 // Multiplies both components by the blinding secret α:  Dec(Blind(ct, α)) =
 // α·M.  Blinding commutes with decryption and preserves equality of
 // plaintexts.  α is Shuffler 1's long-term secret — the whole point of the
-// split-shuffler design is that Shuffler 2 never learns it — so the
-// single-ciphertext path runs on the constant-time ladder; the blinded
-// output points are public by protocol (they are forwarded to Shuffler 2).
+// split-shuffler design is that Shuffler 2 never learns it — so this runs
+// on the constant-time lane (ElGamalBlindBatch with a batch of one); the
+// blinded output points are public by protocol (they are forwarded to
+// Shuffler 2).
 ElGamalCiphertext ElGamalBlind(const ElGamalCiphertext& ciphertext,
                                const Secret<U256>& secret_alpha);
 
@@ -53,10 +54,11 @@ ElGamalCiphertext ElGamalBlind(const ElGamalCiphertext& ciphertext,
 ElGamalCiphertext ElGamalRerandomize(const ElGamalCiphertext& ciphertext,
                                      const EcPoint& recipient_public, SecureRandom& rng);
 
-// Decrypts to the (possibly blinded) message point: c2 - x·c1, on the
-// constant-time ladder (c1 is attacker-chosen; x is Shuffler 2's long-term
-// key).  The decrypted point is declassified on return — it is the protocol
-// output (a blinded crowd ID that feeds public counting).
+// Decrypts to the (possibly blinded) message point: c2 - x·c1, with x·c1 on
+// the constant-time lane (ElGamalDecryptBatch with a batch of one; c1 is
+// attacker-chosen, x is Shuffler 2's long-term key).  The decrypted point
+// is the protocol output (a blinded crowd ID that feeds public counting),
+// so x·c1 = c2 - output is declassified before the subtraction.
 EcPoint ElGamalDecrypt(const Secret<U256>& private_key, const ElGamalCiphertext& ciphertext);
 
 // ------------------------------------------------------------ batch fast path
@@ -68,12 +70,14 @@ EcPoint ElGamalDecrypt(const Secret<U256>& private_key, const ElGamalCiphertext&
 // the fixed-base tables for G and for the recipient key, and optionally
 // spread chunks across a ThreadPool.  Outputs are identical to calling the
 // scalar versions in a loop with the same randomness, regardless of whether
-// a pool is supplied.
+// a pool is supplied.  The long-term-key passes (blind, decrypt) run on the
+// batched constant-time lane, P256::BatchScalarMultSecret, one chunk per
+// call; the key is never declassified (docs/constant-time.md).
 
-// Blinds every ciphertext with the same secret α (Shuffler 1's pass).
-// Policy declassification inside: the batched wNAF path recodes α variable-
-// time in exchange for the bulk throughput Table 3 reports — the same
-// documented trade as EcdhSharedSecretBatch (docs/constant-time.md).
+// Blinds every ciphertext with the same secret α (Shuffler 1's pass): both
+// legs of a chunk through the batched ct lane, one Fermat inverse for the
+// chunk's affine results, which are then declassified (they go on the
+// wire).
 std::vector<ElGamalCiphertext> ElGamalBlindBatch(const std::vector<ElGamalCiphertext>& cts,
                                                  const Secret<U256>& secret_alpha,
                                                  ThreadPool* pool = nullptr);
@@ -89,10 +93,9 @@ std::vector<ElGamalCiphertext> ElGamalRerandomizeBatch(
     SecureRandom& rng, ThreadPool* pool = nullptr);
 
 // Decrypts every ciphertext (Shuffler 2's pass).  Every c1 is a distinct
-// ephemeral point, so this runs on P256::BatchScalarMult's batched wNAF
-// path: one shared inversion normalizes all the chunk's odd-multiple tables
-// and a second normalizes the results.  Same documented policy
-// declassification of the private scalar as ElGamalBlindBatch.
+// ephemeral point, so x·c1 runs on the batched ct lane: one shared
+// inversion normalizes the chunk's tables, one Fermat inverse its x·c1
+// results, and a last shared inversion the decrypted points.
 std::vector<EcPoint> ElGamalDecryptBatch(const Secret<U256>& private_key,
                                          const std::vector<ElGamalCiphertext>& cts,
                                          ThreadPool* pool = nullptr);

@@ -17,29 +17,19 @@ KeyPair KeyPair::Generate(SecureRandom& rng) {
 
 std::optional<Secret<U256>> EcdhSharedSecret(const Secret<U256>& private_key,
                                              const EcPoint& peer_public) {
-  const P256& curve = P256::Get();
-  EcPoint shared = curve.ScalarMultSecret(peer_public, private_key);
-  // The infinity flag is declassified by FromJacobianCt: it is public
-  // protocol state (an invalid peer key), not key-dependent data.
-  if (shared.infinity) {  // lint:allow(secret-branch)
-    return std::nullopt;
-  }
-  return Secret<U256>(shared.x);
+  return std::move(EcdhSharedSecretBatch(private_key, {peer_public})[0]);
 }
 
 std::vector<std::optional<Secret<U256>>> EcdhSharedSecretBatch(
     const Secret<U256>& private_key, const std::vector<EcPoint>& peer_publics) {
   const P256& curve = P256::Get();
-  // Documented policy declassification: the batched wNAF path recodes the
-  // scalar variable-time, in exchange for the shared-inversion throughput
-  // the shuffler's bulk opens need.  See the header and
-  // docs/constant-time.md before widening this.
-  U256 priv = private_key.Declassify();  // ct:declassify(batch ECDH trades ct for bulk throughput by documented policy)
-  std::vector<U256> scalars(peer_publics.size(), priv);
-  std::vector<EcPoint> shared = curve.BatchScalarMult(peer_publics, scalars);
+  std::vector<EcPoint> shared =
+      curve.BatchNormalizeCt(curve.BatchScalarMultSecret(peer_publics, private_key));
   std::vector<std::optional<Secret<U256>>> out(peer_publics.size());
   for (size_t i = 0; i < shared.size(); ++i) {
-    if (!shared[i].infinity) {
+    // The infinity flag is declassified by BatchNormalizeCt: it is public
+    // protocol state (an invalid peer key), not key-dependent data.
+    if (!shared[i].infinity) {  // lint:allow(secret-branch)
       out[i] = Secret<U256>(shared[i].x);
     }
   }

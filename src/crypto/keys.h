@@ -28,24 +28,23 @@ struct KeyPair {
 };
 
 // Raw ECDH: X coordinate of private * peer_public, computed on the
-// constant-time ladder (the peer point is attacker-chosen, so this is
-// exactly the surface a timing probe would target).  The shared X stays
-// Secret<> until it is consumed by the key schedule.  Returns nullopt for
-// the identity result (never happens for honest keys; the infinity flag is
-// the one declassified bit).
+// constant-time lane as a batch of one (the peer point is attacker-chosen,
+// so this is exactly the surface a timing probe would target).  The shared
+// X stays Secret<> until it is consumed by the key schedule.  Returns
+// nullopt for the identity result (never happens for honest keys; the
+// infinity flag is the one declassified bit).
 std::optional<Secret<U256>> EcdhSharedSecret(const Secret<U256>& private_key,
                                              const EcPoint& peer_public);
 
 // Batched ECDH against many peers with one private key — the shuffler's
-// outer-layer report opens, where every peer is a distinct ephemeral key
-// that cannot be precomputed.  Runs on P256::BatchScalarMult (shared-
-// inversion wNAF tables), which requires DECLASSIFYING the private scalar
-// internally: the batch surface processes millions of attacker-submitted
-// reports inside the (simulated) enclave, and the reproduction deliberately
-// trades per-scalar timing hygiene for the ~3-4x batch throughput there
-// (docs/constant-time.md, "batch surfaces").  Slot i matches
-// EcdhSharedSecret(private_key, peer_publics[i]) exactly, including nullopt
-// on the identity.
+// outer-layer and the analyzer's inner-layer opens, where every peer is a
+// distinct ephemeral key that cannot be precomputed.  Runs on
+// P256::BatchScalarMultSecret, the batched constant-time lane: the key is
+// recoded once, the peers' tables share one normalization, and the results
+// one Fermat inverse; nothing about the key is declassified.  Callers pass
+// one chunk per call (the lane's working set grows with the batch).  Slot i
+// matches EcdhSharedSecret(private_key, peer_publics[i]) exactly, including
+// nullopt on the identity.
 std::vector<std::optional<Secret<U256>>> EcdhSharedSecretBatch(
     const Secret<U256>& private_key, const std::vector<EcPoint>& peer_publics);
 

@@ -1,7 +1,5 @@
 #include "src/crypto/p256.h"
 
-#include <cassert>
-
 namespace prochlo {
 
 namespace {
@@ -310,7 +308,7 @@ inline P256::Jacobian SelectJac(uint64_t mask, const P256::Jacobian& a, const P2
 // and recode control flow here are fixed; only the digit VALUES are secret,
 // and they flow exclusively into masked selects.
 constexpr int kCtDigits = 65;
-constexpr size_t kCtTableSize = 9;  // multiples 0..8 of the base point
+constexpr size_t kCtTableSize = 8;  // multiples 1..8 of the base point
 
 inline void CtRecode(const U256& k, int64_t digits[kCtDigits]) {
   uint64_t carry = 0;
@@ -324,16 +322,18 @@ inline void CtRecode(const U256& k, int64_t digits[kCtDigits]) {
   digits[64] = static_cast<int64_t>(carry);
 }
 
-// Full-scan masked read of a Jacobian table: every entry is touched, so the
-// access pattern is independent of `index`.
-inline P256::Jacobian CtTableLookupJac(const P256::Jacobian* table, size_t n, uint64_t index) {
-  P256::Jacobian out{U256::Zero(), U256::Zero(), U256::Zero()};
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t mask = ct::EqMask(static_cast<uint64_t>(i), index);
-    for (int j = 0; j < 4; ++j) {
-      out.x.limbs[j] |= mask & table[i].x.limbs[j];
-      out.y.limbs[j] |= mask & table[i].y.limbs[j];
-      out.z.limbs[j] |= mask & table[i].z.limbs[j];
+// Full-scan masked read of the affine x, y of table[digit - 1] for a digit
+// in 1..n (all zeros for digit 0): every entry is touched, so the access
+// pattern is independent of the digit.  Entry is Jacobian (the normalized
+// variable-base tables, z == 1) or AffineMont (the fixed-base table).
+template <typename Entry>
+inline P256::AffineMont CtLookupAffine(const Entry* table, size_t n, uint64_t digit) {
+  P256::AffineMont out{U256::Zero(), U256::Zero()};
+  for (size_t d = 0; d < n; ++d) {
+    uint64_t mask = ct::EqMask(static_cast<uint64_t>(d + 1), digit);
+    for (int l = 0; l < 4; ++l) {
+      out.x.limbs[l] |= mask & table[d].x.limbs[l];
+      out.y.limbs[l] |= mask & table[d].y.limbs[l];
     }
   }
   return out;
@@ -364,81 +364,108 @@ P256::Jacobian P256::JacDoubleCt(const Jacobian& p) const {
   return Jacobian{x3, y3, z3};
 }
 
-P256::Jacobian P256::JacAddCt(const Jacobian& p, const Jacobian& q) const {
-  // add-2007-bl computed unconditionally, with every exceptional case of
-  // JacAdd masked in afterwards instead of branched on:
-  //   * p or q at infinity       -> select the other operand;
-  //   * p == q (h == 0, r == 0)  -> select the unconditional doubling;
-  //   * p == -q (h == 0, r != 0) -> the formula already yields z3 = 0,
-  //     i.e. the identity, so no patch is needed.
+P256::Jacobian P256::JacAddAffineCt(const Jacobian& p, const AffineMont& q,
+                                    uint64_t q_identity) const {
+  // madd-2007-bl computed unconditionally, with JacAddAffine's identity
+  // cases masked in afterwards instead of branched on.  p == -q needs no
+  // patch (h == 0, so z3 = 2*z1*h = 0 is already the identity), and p == q
+  // is excluded by the callers (see the header).
   const ModField& f = fp_;
   U256 z1z1 = f.MontSqrCt(p.z);
-  U256 z2z2 = f.MontSqrCt(q.z);
-  U256 u1 = f.MontMulCt(p.x, z2z2);
   U256 u2 = f.MontMulCt(q.x, z1z1);
-  U256 s1 = f.MontMulCt(p.y, f.MontMulCt(q.z, z2z2));
   U256 s2 = f.MontMulCt(q.y, f.MontMulCt(p.z, z1z1));
-  U256 h = f.SubCt(u2, u1);
-  U256 r = f.SubCt(s2, s1);
-  U256 h2 = f.AddCt(h, h);
-  U256 i = f.MontSqrCt(h2);
+  U256 h = f.SubCt(u2, p.x);
+  U256 r = f.SubCt(s2, p.y);
+  U256 hh = f.MontSqrCt(h);
+  U256 hh2 = f.AddCt(hh, hh);
+  U256 i = f.AddCt(hh2, hh2);
   U256 j = f.MontMulCt(h, i);
   U256 r2 = f.AddCt(r, r);
-  U256 v = f.MontMulCt(u1, i);
+  U256 v = f.MontMulCt(p.x, i);
   U256 x3 = f.SubCt(f.SubCt(f.MontSqrCt(r2), j), f.AddCt(v, v));
-  U256 s1j2 = f.MontMulCt(s1, j);
-  s1j2 = f.AddCt(s1j2, s1j2);
-  U256 y3 = f.SubCt(f.MontMulCt(r2, f.SubCt(v, x3)), s1j2);
-  U256 z3 = f.MontMulCt(f.MontMulCt(f.AddCt(p.z, p.z), q.z), h);
-  Jacobian sum{x3, y3, z3};
-
-  Jacobian dbl = JacDoubleCt(p);
-  uint64_t p_inf = ct::IsZeroMask(p.z);
-  uint64_t q_inf = ct::IsZeroMask(q.z);
-  uint64_t is_double = ct::IsZeroMask(h) & ct::IsZeroMask(r) & ~p_inf & ~q_inf;
-  Jacobian out = SelectJac(is_double, dbl, sum);
-  out = SelectJac(q_inf, p, out);
-  out = SelectJac(p_inf, q, out);
-  return out;
+  U256 y1j2 = f.MontMulCt(p.y, j);
+  y1j2 = f.AddCt(y1j2, y1j2);
+  U256 y3 = f.SubCt(f.MontMulCt(r2, f.SubCt(v, x3)), y1j2);
+  U256 z3 = f.MontMulCt(f.AddCt(p.z, p.z), h);
+  Jacobian out = SelectJac(ct::IsZeroMask(p.z), Jacobian{q.x, q.y, one_mont_},
+                           Jacobian{x3, y3, z3});
+  return SelectJac(q_identity, p, out);
 }
 
-P256::Jacobian P256::JacScalarMultSecret(const Jacobian& p, const Secret<U256>& secret_scalar) const {
+std::vector<P256::Jacobian> P256::BatchScalarMultSecret(const std::vector<EcPoint>& points,
+                                                        const Secret<U256>& secret_scalar) const {
   // One masked subtract reduces any 256-bit scalar mod n (n > 2^255, so
-  // every U256 is below 2n) — no variable-time compare-and-Reduce.
+  // every U256 is below 2n): no variable-time compare-and-Reduce.  A scalar
+  // above (n-1)/2 is swapped for n - k by mask, and the results are negated
+  // back by mask at the end, so the ladder only ever sees k <= (n-1)/2 (see
+  // the main loop for why).  The scalar is recoded once for the whole batch.
   U256 k = fn_.ReduceOnceCt(secret_scalar.Expose());
-
-  // Multiples 0..8 of p.  The POINT is public in every use (an El Gamal c1,
-  // a peer's ECDH key); only the scalar is secret, so the table may be
-  // built with the ordinary variable-time ops.  Entry 0 is the identity,
-  // which makes a zero digit just another masked lookup.
-  Jacobian table[kCtTableSize];
-  table[0] = Jacobian{U256::Zero(), one_mont_, U256::Zero()};
-  table[1] = p;
-  for (size_t d = 2; d < kCtTableSize; ++d) {
-    table[d] = JacAdd(table[d - 1], p);
-  }
-
+  U256 n_minus_k;
+  SubWithBorrow(fn_.modulus(), k, &n_minus_k);
+  U256 unused;
+  const uint64_t flip = ct::NonZeroMask(SubWithBorrow(ShiftRight1(fn_.modulus()), k, &unused));
   int64_t digits[kCtDigits];
-  CtRecode(k, digits);
+  CtRecode(ct::CtSelect(flip, n_minus_k, k), digits);
 
-  // Uniform main loop: 65 iterations of exactly 4 doublings, one full table
-  // scan, one conditional-by-mask negation, and one patched addition —
-  // regardless of the scalar.  (The p == q exceptional case inside JacAddCt
-  // cannot fire for reduced scalars — every partial value 16*acc + d stays
-  // below n — but the masked doubling patch covers it anyway.)
-  Jacobian acc = table[0];
-  for (int i = kCtDigits - 1; i >= 0; --i) {
-    for (int d = 0; d < 4; ++d) {
-      acc = JacDoubleCt(acc);
+  // Multiples 1..8 of every point.  The POINTS are public in every use (El
+  // Gamal c1s, peers' ephemeral ECDH keys); only the scalar is secret, so
+  // the tables are built with the ordinary variable-time ops and then
+  // normalized to affine in place, all of them with one shared inversion.
+  // An identity input (public) gets no table and an identity result.
+  const size_t n = points.size();
+  const Jacobian identity{U256::Zero(), one_mont_, U256::Zero()};
+  std::vector<Jacobian> out(n, identity);
+  std::vector<size_t> table_base(n, SIZE_MAX);
+  std::vector<Jacobian> tables;
+  tables.reserve(kCtTableSize * n);
+  for (size_t i = 0; i < n; ++i) {
+    if (points[i].infinity) {
+      continue;
     }
-    uint64_t dv = static_cast<uint64_t>(digits[i]);
-    uint64_t neg = ct::NonZeroMask(dv >> 63);
-    uint64_t mag = (dv ^ neg) - neg;  // two's-complement |digit|, branchless
-    Jacobian e = CtTableLookupJac(table, kCtTableSize, mag);
-    e.y = ct::CtSelect(neg, fp_.NegCt(e.y), e.y);
-    acc = JacAddCt(acc, e);
+    table_base[i] = tables.size();
+    Jacobian p = ToJacobian(points[i]);
+    AffineMont p_affine{p.x, p.y};
+    tables.push_back(p);
+    tables.push_back(JacDouble(p));
+    for (size_t d = 3; d <= kCtTableSize; ++d) {
+      tables.push_back(JacAddAffine(tables.back(), p_affine));
+    }
   }
-  return acc;
+  NormalizeToAffineMont(tables);
+
+  // Uniform main loop per point: 65 windows of 4 ct doublings, one full
+  // scan of the 8 entries, a masked negation and a ct mixed addition,
+  // whatever the scalar.  A zero digit selects the identity by mask.  The
+  // addition never meets p == q: with the digits' running value v_i =
+  // 16*v_{i+1} + d_i, the accumulator 16*v_{i+1}*P equals d_i*P iff
+  // v_i = 2*d_i (mod n).  Every v_i lies in [0, (n+1)/2) because the
+  // recoded scalar is at most (n-1)/2, so that needs v_i = 2*d_i exactly,
+  // i.e. 16*v_{i+1} = d_i, which |d_i| <= 8 allows only as v_{i+1} = 0: an
+  // identity accumulator, which the masks take.  (Without the swap to
+  // n - k, k = n - 2 would hit it in the last window with d_0 = -1.)
+  for (size_t i = 0; i < n; ++i) {
+    if (table_base[i] == SIZE_MAX) {
+      continue;
+    }
+    const Jacobian* table = tables.data() + table_base[i];
+    Jacobian acc = identity;
+    for (int w = kCtDigits - 1; w >= 0; --w) {
+      if (w != kCtDigits - 1) {  // public loop index: the first window adds to the identity
+        for (int d = 0; d < 4; ++d) {
+          acc = JacDoubleCt(acc);
+        }
+      }
+      uint64_t dv = static_cast<uint64_t>(digits[w]);
+      uint64_t neg = ct::NonZeroMask(dv >> 63);
+      uint64_t mag = (dv ^ neg) - neg;  // two's-complement |digit|, branchless
+      AffineMont e = CtLookupAffine(table, kCtTableSize, mag);
+      e.y = ct::CtSelect(neg, fp_.NegCt(e.y), e.y);
+      acc = JacAddAffineCt(acc, e, ct::IsZeroMask(mag));
+    }
+    acc.y = ct::CtSelect(flip, fp_.NegCt(acc.y), acc.y);
+    out[i] = acc;
+  }
+  return out;
 }
 
 P256::Jacobian P256::JacBaseMultSecret(const Secret<U256>& secret_scalar) const {
@@ -446,121 +473,64 @@ P256::Jacobian P256::JacBaseMultSecret(const Secret<U256>& secret_scalar) const 
   Jacobian acc{U256::Zero(), one_mont_, U256::Zero()};
   // The fixed-base table already stores d * 2^(4w) * G per window, so the
   // ladder needs no doublings — but unlike JacFixedMult, every window scans
-  // all 15 entries and adds unconditionally (a zero nibble contributes the
-  // identity: zero coordinates with a masked-to-zero z).
+  // all 15 entries and adds unconditionally (a zero nibble adds the
+  // identity, by mask).  The mixed addition never meets p == q: the
+  // accumulator holds the lower windows' value, below 16^w, and the entry is
+  // d * 16^w; both are below n.
   for (size_t w = 0; w < 64; ++w) {
     uint64_t d = ScalarNibble(k, w);
-    U256 ex = U256::Zero();
-    U256 ey = U256::Zero();
-    for (size_t j = 0; j < 15; ++j) {
-      uint64_t mask = ct::EqMask(static_cast<uint64_t>(j + 1), d);
-      for (int l = 0; l < 4; ++l) {
-        ex.limbs[l] |= mask & gen_table_.win[w][j].x.limbs[l];
-        ey.limbs[l] |= mask & gen_table_.win[w][j].y.limbs[l];
-      }
-    }
-    Jacobian e{ex, ey, ct::CtSelect(ct::IsZeroMask(d), U256::Zero(), one_mont_)};
-    acc = JacAddCt(acc, e);
+    AffineMont e = CtLookupAffine(gen_table_.win[w].data(), gen_table_.win[w].size(), d);
+    acc = JacAddAffineCt(acc, e, ct::IsZeroMask(d));
   }
   return acc;
 }
 
-EcPoint P256::FromJacobianCt(const Jacobian& p) const {
-  // The infinity flag is public protocol state (an identity ECDH result is
-  // rejected out loud; an identity decrypt is a visible outcome), so it is
-  // the one bit declassified here.  The coordinates keep their taint: the
-  // inverse is the Fermat ladder, not the variable-time xGCD.
-  if (ct::DeclassifyBit(ct::IsZeroMask(p.z))) {  // ct:declassify(point-at-infinity flag is public protocol state)
-    return EcPoint::Infinity();
+std::vector<EcPoint> P256::BatchNormalizeCt(const std::vector<Jacobian>& points) const {
+  // Montgomery's simultaneous inversion on the ct lane: masked products,
+  // one Fermat-ladder inverse (no variable-time xGCD on secret-derived zs),
+  // and identity entries swapped for 1 by mask so they neither zero the
+  // running product nor branch.
+  const ModField& f = fp_;
+  const size_t n = points.size();
+  std::vector<U256> zs(n);
+  std::vector<U256> prefix(n);
+  U256 running = one_mont_;
+  for (size_t i = 0; i < n; ++i) {
+    zs[i] = ct::CtSelect(ct::IsZeroMask(points[i].z), one_mont_, points[i].z);
+    prefix[i] = running;
+    running = f.MontMulCt(running, zs[i]);
   }
-  U256 zinv = fp_.MontInvCt(p.z);
-  U256 zinv2 = fp_.MontSqrCt(zinv);
-  U256 zinv3 = fp_.MontMulCt(zinv2, zinv);
-  U256 x = fp_.FromMontCt(fp_.MontMulCt(p.x, zinv2));
-  U256 y = fp_.FromMontCt(fp_.MontMulCt(p.y, zinv3));
-  return EcPoint{x, y, false};
+  U256 inv = f.MontInvCt(running);
+  std::vector<EcPoint> out(n);
+  for (size_t i = n; i-- > 0;) {
+    U256 zinv = f.MontMulCt(inv, prefix[i]);
+    inv = f.MontMulCt(inv, zs[i]);
+    // The infinity flag is public protocol state (an identity ECDH result
+    // is rejected out loud; an identity decrypt is a visible outcome), so
+    // it is the one bit declassified here.  The coordinates keep their
+    // taint.
+    if (ct::DeclassifyBit(ct::IsZeroMask(points[i].z))) {  // ct:declassify(point-at-infinity flag is public protocol state)
+      out[i] = EcPoint::Infinity();
+      continue;
+    }
+    U256 zinv2 = f.MontSqrCt(zinv);
+    U256 zinv3 = f.MontMulCt(zinv2, zinv);
+    out[i] = EcPoint{f.FromMontCt(f.MontMulCt(points[i].x, zinv2)),
+                     f.FromMontCt(f.MontMulCt(points[i].y, zinv3)), false};
+  }
+  return out;
 }
 
 EcPoint P256::ScalarMultSecret(const EcPoint& point, const Secret<U256>& secret_scalar) const {
-  return FromJacobianCt(JacScalarMultSecret(ToJacobian(point), secret_scalar));
+  return BatchNormalizeCt(BatchScalarMultSecret({point}, secret_scalar))[0];
 }
 
 EcPoint P256::BaseMultSecret(const Secret<U256>& secret_scalar) const {
-  EcPoint out = FromJacobianCt(JacBaseMultSecret(secret_scalar));
+  EcPoint out = BatchNormalizeCt({JacBaseMultSecret(secret_scalar)})[0];
   // A public key derived from a long-term secret is published by protocol.
   ct::UnpoisonObject(out.x);  // ct:declassify(public key is published by protocol)
   ct::UnpoisonObject(out.y);  // ct:declassify(public key is published by protocol)
   return out;
-}
-
-std::vector<P256::Jacobian> P256::BatchScalarMultJac(const std::vector<EcPoint>& points,
-                                                     const std::vector<U256>& scalars) const {
-  assert(points.size() == scalars.size());
-  const size_t n = points.size();
-  Jacobian identity{U256::Zero(), one_mont_, U256::Zero()};
-  std::vector<Jacobian> out(n, identity);
-
-  // Build every item's odd-multiple table into one flat vector, then convert
-  // them ALL to affine with a single shared inversion.  That is the batch
-  // win: the per-digit additions below become mixed additions (madd), which
-  // save four field multiplications each over full Jacobian additions.
-  std::vector<U256> ks(n);
-  std::vector<size_t> table_base(n, SIZE_MAX);  // SIZE_MAX = identity result
-  std::vector<Jacobian> tables;
-  tables.reserve(kWnafOddMultiples * n);
-  for (size_t i = 0; i < n; ++i) {
-    U256 k = scalars[i];
-    if (k >= fn_.modulus()) {
-      k = fn_.Reduce(k);
-    }
-    if (k.IsZero() || points[i].infinity) {
-      continue;
-    }
-    ks[i] = k;
-    table_base[i] = tables.size();
-    Jacobian p = ToJacobian(points[i]);
-    Jacobian twice = JacDouble(p);
-    tables.push_back(p);
-    for (size_t j = 1; j < kWnafOddMultiples; ++j) {
-      tables.push_back(JacAdd(tables[table_base[i] + j - 1], twice));
-    }
-  }
-  NormalizeToAffineMont(tables);
-
-  // Recode lazily and reuse the digits when consecutive scalars repeat: the
-  // El Gamal open multiplies every c1 of a chunk by the same private key.
-  int8_t digits[kWnafMaxDigits];
-  int len = 0;
-  const U256* prev_k = nullptr;
-  for (size_t i = 0; i < n; ++i) {
-    if (table_base[i] == SIZE_MAX) {
-      continue;
-    }
-    const Jacobian* tbl = tables.data() + table_base[i];
-    if (prev_k == nullptr || !(*prev_k == ks[i])) {
-      len = WnafRecode(ks[i], digits);
-      prev_k = &ks[i];
-    }
-    Jacobian acc = identity;
-    for (int b = len - 1; b >= 0; --b) {
-      acc = JacDouble(acc);
-      int8_t d = digits[b];
-      if (d > 0) {
-        const Jacobian& e = tbl[(d - 1) / 2];
-        acc = JacAddAffine(acc, AffineMont{e.x, e.y});
-      } else if (d < 0) {
-        const Jacobian& e = tbl[(-d - 1) / 2];
-        acc = JacAddAffine(acc, AffineMont{e.x, fp_.Neg(e.y)});
-      }
-    }
-    out[i] = acc;
-  }
-  return out;
-}
-
-std::vector<EcPoint> P256::BatchScalarMult(const std::vector<EcPoint>& points,
-                                           const std::vector<U256>& scalars) const {
-  return BatchNormalize(BatchScalarMultJac(points, scalars));
 }
 
 P256::FixedBaseTable P256::BuildFixedBaseTable(const EcPoint& base) const {

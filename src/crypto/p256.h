@@ -13,16 +13,17 @@
 //
 //   * The fast paths below (fixed-base tables, width-5 wNAF, batch
 //     normalization) are variable-time and serve PUBLIC and EPHEMERAL
-//     scalars — per-report keys, re-randomizers, and the declassified batch
-//     surfaces.
+//     scalars — per-report keys and re-randomizers.
 //
-//   * `JacScalarMultSecret` / `BaseMultSecret` / the `*Ct` point ops form a
-//     constant-time lane for `Secret<U256>` scalars (long-term private
-//     keys): fixed-window ladder, full-scan masked table reads, branchless
-//     conditional negation, no secret-dependent branches anywhere.
+//   * `BatchScalarMultSecret` / `JacBaseMultSecret` and the `*Ct` point ops
+//     form a constant-time lane for `Secret<U256>` scalars (long-term
+//     private keys): fixed-window ladder, full-scan masked table reads,
+//     branchless conditional negation, no secret-dependent branches
+//     anywhere.  It is batched, so the shuffler's and the analyzer's bulk
+//     opens (§4.1.4, Table 3) run on it at about the cost the variable-time
+//     batch used to have.
 //
-// Three fast paths serve the shuffler's bulk workloads (§4.1.4, Table 3),
-// where millions of scalar multiplications per pass dominate:
+// Two fast paths serve the ephemeral-scalar workloads:
 //
 //   * Fixed-base precomputation — a 4-bit windowed table of multiples of a
 //     base point (the generator always; any caller-registered point, e.g. a
@@ -30,18 +31,16 @@
 //     multiplication is 64 mixed additions with no doublings and no
 //     per-call table build.
 //
-//   * Variable-base wNAF — ScalarMult on an arbitrary point (an ephemeral
-//     per-report key, which CANNOT be precomputed) recodes the scalar into
-//     width-5 signed digits over the odd multiples 1P, 3P, ..., 15P.
-//     Signed digits cost nothing extra because Jacobian negation is a free
-//     y-flip, and they cut the addition count by a third versus the old
-//     fixed 4-bit window.  BatchScalarMult amortizes further: the odd-
-//     multiple tables of a whole batch are normalized to affine with one
-//     shared inversion, so every wNAF addition is a cheap mixed addition.
+//   * Variable-base wNAF — ScalarMult on an arbitrary point (a recipient
+//     key that was not registered) recodes the scalar into width-5 signed
+//     digits over the odd multiples 1P, 3P, ..., 15P.  Signed digits cost
+//     nothing extra because Jacobian negation is a free y-flip, and they
+//     cut the addition count by a third versus a fixed 4-bit window.
 //
-//   * Batch affine conversion — BatchNormalize converts a whole batch of
-//     Jacobian points to affine with ONE field inversion (Montgomery's
-//     simultaneous-inversion trick) instead of one inversion per point.
+// Both lanes convert to affine in batches: BatchNormalize (and the ct
+// lane's BatchNormalizeCt) turns a whole batch of Jacobian points into
+// affine ones with ONE field inversion (Montgomery's simultaneous-inversion
+// trick) instead of one inversion per point.
 //
 // The Jacobian type and Jac* entry points are public for the same reason
 // ModField exposes its Montgomery primitives: hot loops compose them and
@@ -92,6 +91,10 @@ class P256 {
   struct Jacobian {
     U256 x, y, z;
   };
+  // Affine point in the Montgomery domain (implicit z = 1).
+  struct AffineMont {
+    U256 x, y;
+  };
 
   static const P256& Get();
 
@@ -139,46 +142,49 @@ class P256 {
   std::vector<EcPoint> BatchNormalize(const std::vector<Jacobian>& points) const;
   // scalar[i] * G for every i, normalized with a single inversion.
   std::vector<EcPoint> BatchBaseMult(const std::vector<U256>& scalars) const;
-  // scalars[i] * points[i] for every i — the batch fast path for the
-  // shuffler's per-report ECDH opens, where every base point is a distinct
-  // ephemeral key.  All wNAF odd-multiple tables are normalized to affine
-  // with one shared inversion (so the main loops run on cheap mixed
-  // additions), and the results with a second; bit-identical to calling
-  // ScalarMult per item.
-  std::vector<EcPoint> BatchScalarMult(const std::vector<EcPoint>& points,
-                                       const std::vector<U256>& scalars) const;
-  // Jacobian-output variant for hot loops that keep composing (e.g. the
-  // El Gamal open, which still adds c2 before its own batch conversion).
-  std::vector<Jacobian> BatchScalarMultJac(const std::vector<EcPoint>& points,
-                                           const std::vector<U256>& scalars) const;
 
   // --------------------------------------------- constant-time secret lane
   //
-  // Scalar multiplication for `Secret<U256>` scalars: a signed fixed-window
-  // (w = 4) ladder whose control flow, memory addresses, and field-op
-  // sequence are all independent of the scalar.  Window digits are read via
-  // full-scan masked table lookups, negative digits negate branchlessly,
-  // and the point additions are the patched `JacAddCt`/`JacDoubleCt` below.
-  // Bit-identical to JacScalarMultReference for every scalar (cross-checked
-  // in tests/crypto_ct_test.cc); ~3-4x the cost of the wNAF path, paid only
-  // on long-term-key operations (see docs/constant-time.md).
-  Jacobian JacScalarMultSecret(const Jacobian& p, const Secret<U256>& secret_scalar) const;
+  // Scalar multiplication for `Secret<U256>` scalars (long-term private
+  // keys): control flow, memory addresses and the field-op sequence are all
+  // independent of the scalar.  Window digits are read via full-scan masked
+  // table lookups, negative digits negate branchlessly, and the point ops
+  // are the masked `JacAddAffineCt`/`JacDoubleCt` below.  The lane is
+  // batched: a whole chunk of (public) points shares one scalar recode and
+  // one affine normalization of their tables, so a batch costs about what
+  // the variable-time wNAF path would (see docs/constant-time.md).
+  //
+  // secret_scalar * points[i] for every i, Jacobian out: a signed
+  // fixed-window (w = 4) ladder over each point's multiples 1..8, which are
+  // built variable-time (the points are public) and normalized to affine in
+  // place with one shared inversion, so every window is 4 ct doublings, one
+  // masked lookup and one ct mixed addition.  Identity inputs yield the
+  // identity.  Bit-identical to JacScalarMultReference for every scalar
+  // (tests/scalar_mult_test.cc, tests/crypto_ct_test.cc).
+  std::vector<Jacobian> BatchScalarMultSecret(const std::vector<EcPoint>& points,
+                                              const Secret<U256>& secret_scalar) const;
   // Fixed-base ladder over the generator table: same discipline (every
-  // window's 15 entries are scanned; a zero digit selects the identity via
-  // masks).  Used by long-term key generation.
+  // window's 15 entries are scanned; a zero digit adds the identity by
+  // mask).  Used by long-term key generation.
   Jacobian JacBaseMultSecret(const Secret<U256>& secret_scalar) const;
-  // Affine conveniences.  The point-at-infinity bit of the result is
-  // declassified (it is public protocol state); the coordinates keep their
-  // taint until a caller declassifies them.
+  // Affine conversion of a batch with one Fermat-ladder inverse (no
+  // variable-time xGCD on a secret-derived z) and masked products.  The
+  // point-at-infinity bit of each result is declassified (it is public
+  // protocol state); the coordinates keep their taint until a caller
+  // declassifies them.
+  std::vector<EcPoint> BatchNormalizeCt(const std::vector<Jacobian>& points) const;
+  // Affine conveniences: a batch of one through the two calls above.
   EcPoint ScalarMultSecret(const EcPoint& point, const Secret<U256>& secret_scalar) const;
   EcPoint BaseMultSecret(const Secret<U256>& secret_scalar) const;
-  // Affine conversion through the Fermat-ladder inverse (no variable-time
-  // xGCD on a secret-derived z); declassifies only the infinity bit.
-  EcPoint FromJacobianCt(const Jacobian& p) const;
-  // Branchless point ops: compute the generic formula unconditionally, then
-  // mask in the exceptional cases (identity operands, doubling).  Safe for
-  // secret-derived operands; roughly 2x the cost of JacAdd/JacDouble.
-  Jacobian JacAddCt(const Jacobian& p, const Jacobian& q) const;
+  // Branchless mixed addition p + q (q affine in the Montgomery domain):
+  // the madd formula runs unconditionally and the identity cases are masked
+  // in — an identity p selects q, an all-ones `q_identity` selects p.  The
+  // doubling case p == q is NOT handled (its result is garbage); both
+  // ladders above exclude it (the variable-base one by running on
+  // min(k, n - k)).  p == -q yields the identity.  Safe for secret-derived
+  // operands.
+  Jacobian JacAddAffineCt(const Jacobian& p, const AffineMont& q, uint64_t q_identity) const;
+  // Branchless doubling: for z == 0 the formula yields the identity again.
   Jacobian JacDoubleCt(const Jacobian& p) const;
 
   // Uncompressed SEC1 encoding: 0x04 || X || Y (65 bytes); the identity
@@ -190,10 +196,6 @@ class P256 {
   std::optional<EcPoint> LiftX(const U256& x, bool y_odd) const;
 
  private:
-  // Affine point in the Montgomery domain (implicit z = 1).
-  struct AffineMont {
-    U256 x, y;
-  };
   // win[w][d-1] = d * 2^(4w) * base for d in 1..15: one 4-bit window per
   // scalar nibble, so a multiplication is at most 64 mixed additions.
   struct FixedBaseTable {

@@ -374,6 +374,24 @@ void AckRegistry::AttachWal(IngestWal* wal) {
   wal_ = wal;
 }
 
+void AckRegistry::set_unbind(std::function<void()> unbind) {
+  MutexLock lock(mu_);
+  unbind_ = std::move(unbind);
+}
+
+void AckRegistry::Unbind() {
+  std::function<void()> unbind;
+  {
+    MutexLock lock(mu_);
+    unbind.swap(unbind_);
+  }
+  // Outside mu_: the callback waits out a running checkpoint, whose hook
+  // takes mu_ for its Snapshot().
+  if (unbind) {
+    unbind();
+  }
+}
+
 void AckRegistry::RestoreFromRecovery(const JournalRecovery& recovery) {
   MutexLock lock(mu_);
   for (const auto& snapshot : recovery.live) {
@@ -773,12 +791,15 @@ Status FrameServer::Shutdown() {
       first_error = served->status;
     }
   }
-  MutexLock lock(mu_);
-  for (auto& served : to_join) {
-    stats_.Fold(served->stats);
-    ack_book_.Fold(served->book);
-    connections_ += 1;
+  {
+    MutexLock lock(mu_);
+    for (auto& served : to_join) {
+      stats_.Fold(served->stats);
+      ack_book_.Fold(served->book);
+      connections_ += 1;
+    }
   }
+  registry_.Unbind();  // a stopped server's registry feeds no more checkpoints
   return first_error;
 }
 

@@ -149,6 +149,11 @@ Result<std::unique_ptr<ByteStream>> TcpConnect(const std::string& address, uint1
 // session journal, which the frontend compacts from Snapshot().
 class AckRegistry {
  public:
+  AckRegistry() = default;
+  ~AckRegistry() { Unbind(); }
+  AckRegistry(const AckRegistry&) = delete;
+  AckRegistry& operator=(const AckRegistry&) = delete;
+
   enum class Claim {
     kNew,        // claimed: caller must Commit (→ ACK) or Release (→ NACK)
     kInFlight,   // another connection's ingest of this seq has not resolved
@@ -189,6 +194,14 @@ class AckRegistry {
   // RestoreFromRecovery seeds sessions and tombstones from the recovered
   // journal + WAL image — call both before serving connections.
   void AttachWal(IngestWal* wal);
+  // The lifetime link to the frontend that bound this registry
+  // (ShufflerFrontend::BindAckRegistry), whose WAL checkpoint hook reads
+  // Snapshot().  Unbind() runs the callback once and clears it; the
+  // registry's server calls it when it stops (FrameServer::Shutdown), and
+  // the destructor calls it too, so the hook never outlives the registry.
+  // set_unbind({}) drops the link without running it.
+  void set_unbind(std::function<void()> unbind);
+  void Unbind();
   void RestoreFromRecovery(const JournalRecovery& recovery);
   // The inverse of RestoreFromRecovery: every live session's durable state
   // plus the tombstones, as one consistent image (journal compaction).
@@ -231,6 +244,7 @@ class AckRegistry {
   // Borrowed; null = memory-only dedup.  Attached once before serving, then
   // read from paths outside mu_ (the WAL has its own locks).
   IngestWal* wal_ = nullptr;
+  std::function<void()> unbind_ GUARDED_BY(mu_);
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> session_record_failures_{0};
 };

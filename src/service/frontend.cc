@@ -148,6 +148,14 @@ Status ShufflerFrontend::Start() {
   return Status::Ok();
 }
 
+ShufflerFrontend::~ShufflerFrontend() {
+  // The bound registry must not call back into a destroyed frontend.
+  MutexLock lock(bind_mu_);
+  if (bound_registry_ != nullptr) {
+    bound_registry_->set_unbind({});
+  }
+}
+
 Status ShufflerFrontend::BindAckRegistry(AckRegistry* registry) {
   if (!started_) {
     return Error{"frontend: Start() must succeed before BindAckRegistry"};
@@ -160,9 +168,25 @@ Status ShufflerFrontend::BindAckRegistry(AckRegistry* registry) {
     // and compaction follows on the checkpoint cadence.
     registry->RestoreFromRecovery(journal_recovery_);
     registry->AttachWal(wal_.get());
+    MutexLock lock(bind_mu_);
+    if (bound_registry_ != nullptr && bound_registry_ != registry) {
+      bound_registry_->set_unbind({});  // rebound: the old registry lets go
+    }
+    bound_registry_ = registry;
     wal_->set_post_checkpoint_hook([this, registry] { CompactJournalIfNeeded(*registry); });
+    registry->set_unbind([this, registry] { UnbindAckRegistry(registry); });
   }
   return Status::Ok();
+}
+
+void ShufflerFrontend::UnbindAckRegistry(const AckRegistry* registry) {
+  MutexLock lock(bind_mu_);
+  if (bound_registry_ != registry) {
+    return;
+  }
+  // Waits out a checkpoint that is running the hook right now.
+  wal_->set_post_checkpoint_hook(nullptr);
+  bound_registry_ = nullptr;
 }
 
 void ShufflerFrontend::CompactJournalIfNeeded(const AckRegistry& registry) {

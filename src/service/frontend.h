@@ -44,6 +44,7 @@
 #include "src/service/spool.h"
 #include "src/service/wal.h"
 #include "src/service/wire.h"
+#include "src/util/thread_annotations.h"
 
 namespace prochlo {
 
@@ -172,6 +173,9 @@ struct DrainReport {
 class ShufflerFrontend {
  public:
   explicit ShufflerFrontend(FrontendConfig config);
+  ~ShufflerFrontend();
+  ShufflerFrontend(const ShufflerFrontend&) = delete;
+  ShufflerFrontend& operator=(const ShufflerFrontend&) = delete;
 
   // Opens the spool (creating/recovering it) and readies ingestion.  After
   // a crash, sealed epochs re-enter the drain queue and the newest unsealed
@@ -186,7 +190,10 @@ class ShufflerFrontend {
   // the registry with the sessions recovered at Start(), and attaches the
   // WAL so commits/evictions/goodbyes are logged before they are
   // acknowledged.  WAL checkpoints then compact the journal from registry
-  // snapshots.  Call after Start() and before serving connections.
+  // snapshots.  Call after Start() and before serving connections.  The
+  // binding lasts until the registry's server stops, the registry is
+  // destroyed, or another registry is bound, whichever comes first; after
+  // that checkpoints no longer compact the journal until the next bind.
   Status BindAckRegistry(AckRegistry* registry);
 
   // The session journal, or null (in-memory mode / before Start).
@@ -282,6 +289,9 @@ class ShufflerFrontend {
   // The WAL's post-checkpoint hook: rewrites the journal as a snapshot of
   // `registry` once it crosses its compaction threshold.
   void CompactJournalIfNeeded(const AckRegistry& registry);
+  // The bound registry's unbind callback: drops the checkpoint hook if
+  // `registry` is still the bound one.
+  void UnbindAckRegistry(const AckRegistry* registry);
 
   FrontendConfig config_;
   Pipeline pipeline_;
@@ -292,6 +302,10 @@ class ShufflerFrontend {
   // destructor flushes its pending block, which may touch both.
   std::unique_ptr<IngestWal> wal_;           // null in in-memory mode
   JournalRecovery journal_recovery_;         // held for BindAckRegistry
+  // The registry the WAL's checkpoint hook reads; it holds this frontend's
+  // unbind callback (see AckRegistry::set_unbind).  Null when unbound.
+  Mutex bind_mu_;
+  AckRegistry* bound_registry_ GUARDED_BY(bind_mu_) = nullptr;
   FrontendStats stats_;
   bool started_ = false;
   uint32_t injected_drain_failures_ = 0;  // fault-injection bookkeeping

@@ -497,6 +497,7 @@ void IngestWal::AttachTargets(Spool* spool, SessionJournal* journal) {
 void IngestWal::set_rollback_callback(RollbackCallback cb) { rollback_ = std::move(cb); }
 
 void IngestWal::set_post_checkpoint_hook(std::function<void()> hook) {
+  MutexLock lock(ckpt_mu_);
   post_checkpoint_ = std::move(hook);
 }
 

@@ -130,7 +130,8 @@ class IngestWal {
   void set_rollback_callback(RollbackCallback cb);
   // Runs after every successful checkpoint, still under the checkpoint
   // lock, so it is serialized with the journal write-through (the frontend
-  // compacts the session journal here).
+  // compacts the session journal here).  Setting it takes the same lock, so
+  // clearing it waits out a checkpoint that is running it.
   void set_post_checkpoint_hook(std::function<void()> hook);
 
   // Buffers one report record (with its ack commit when session_id != 0).
@@ -252,7 +253,7 @@ class IngestWal {
   Spool* spool_ = nullptr;
   SessionJournal* journal_ = nullptr;
   RollbackCallback rollback_;
-  std::function<void()> post_checkpoint_;
+  std::function<void()> post_checkpoint_ GUARDED_BY(ckpt_mu_);
 
   // Recovery scratch, valid between the two phases.
   bool recovered_ = false;

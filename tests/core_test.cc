@@ -280,6 +280,38 @@ TEST(AnalyzerTest, MalformedPayloadsCounted) {
   EXPECT_EQ(result.malformed, 1u);
 }
 
+// DecryptBatch opens in fixed 64-box chunks spread over the pool: the
+// payloads and the undecryptable count must not depend on the thread count,
+// and a bad box in the middle of a chunk must fail its own slot only.
+TEST(AnalyzerTest, DecryptBatchIsThreadCountInvariantAndFailsOnlyBadSlots) {
+  CoreFixture fx;
+  constexpr size_t kBoxes = 150;  // chunks [0,64) [64,128) [128,150)
+  std::vector<Bytes> boxes;
+  std::vector<Bytes> expected;
+  for (size_t i = 0; i < kBoxes; ++i) {
+    Bytes payload = ToBytes("value-" + std::to_string(i));
+    boxes.push_back(HybridSeal(fx.analyzer_keys.public_key, *PadPayload(payload, 64),
+                               kAnalyzerLayerContext, fx.rng)
+                        .Serialize());
+    if (i != 95 && i != 96 && i != 97) {
+      expected.push_back(payload);
+    }
+  }
+  boxes[95][kEcPointEncodedSize + kGcmNonceSize + 3] ^= 0x01;  // AEAD failure
+  boxes[96][10] ^= 0x01;                                        // off-curve key
+  boxes[97].resize(20);                                         // not a HybridBox
+
+  ThreadPool three(3);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &three, &ThreadPool::Process()}) {
+    SCOPED_TRACE(pool == nullptr ? "num_threads=0" : pool == &three ? "3" : "default");
+    Analyzer analyzer(fx.analyzer_keys);
+    std::vector<Bytes> payloads = analyzer.DecryptBatch(boxes, pool);
+    EXPECT_EQ(payloads, expected);
+    EXPECT_EQ(analyzer.stats().received, kBoxes);
+    EXPECT_EQ(analyzer.stats().undecryptable, 3u);
+  }
+}
+
 // The cluster merge is the analyzer: it thresholds on crowd cardinalities
 // summed across groups and opens only the survivors' inner boxes.
 TEST(PipelineMergeTest, MergeNeverOpensASubThresholdInnerBox) {

@@ -6,9 +6,12 @@
 //   * the ModField *Ct field ops, over both P-256 fields (the fast-reduction
 //     prime field and the generic-CIOS scalar field — the two MontMulCt code
 //     paths);
-//   * the point ops and the full JacScalarMultSecret /JacBaseMultSecret
-//     ladders, bit-identical to JacScalarMultReference over the edge-scalar
-//     set (0, 1, 2, n-1, n, n+1, 2^255, 2^255+1) and 1k random scalars.
+//   * the point ops (the ct mixed add and doubling), ScalarMultSecret (the
+//     batched lane as a batch of one), the JacBaseMultSecret ladder and the
+//     ct batch normalization, bit-identical to their variable-time twins
+//     over the edge-scalar set (0, 1, 2, n-1, n, n+1, 2^255, 2^255+1).  The
+//     batched lane itself is cross-checked at every chunk size in
+//     tests/scalar_mult_test.cc.
 //
 // These are functional checks; the "no secret-dependent branches" property
 // is checked by scripts/lint.py (statically) and tools/ct_harness.cc under
@@ -179,38 +182,45 @@ EcPoint ReferenceMult(const EcPoint& point, const U256& scalar) {
   return curve.FromJacobian(curve.JacScalarMultReference(curve.ToJacobian(point), scalar));
 }
 
-TEST(CtPointTest, AddAndDoubleMatchVariableTime) {
+// p scaled to the Jacobian representation (l^2 x, l^3 y, l z): same point,
+// non-trivial z.
+P256::Jacobian Rescale(const P256::Jacobian& p, const U256& lambda_normal) {
+  const ModField& f = P256::Get().field();
+  U256 lambda = f.ToMont(lambda_normal);
+  U256 lambda2 = f.MontSqr(lambda);
+  return P256::Jacobian{f.MontMul(p.x, lambda2), f.MontMul(p.y, f.MontMul(lambda2, lambda)),
+                        f.MontMul(p.z, lambda)};
+}
+
+TEST(CtPointTest, MixedAddAndDoubleMatchVariableTime) {
   const P256& curve = P256::Get();
   SecureRandom rng(ToBytes("ct-point-ops"));
-  P256::Jacobian p = curve.JacBaseMult(rng.RandomScalar(curve.order()));
-  P256::Jacobian q = curve.JacBaseMult(rng.RandomScalar(curve.order()));
+  P256::Jacobian p = Rescale(curve.JacBaseMult(rng.RandomScalar(curve.order())),
+                             U256::FromU64(3));
+  EcPoint q_affine = curve.BaseMult(rng.RandomScalar(curve.order()));
+  P256::Jacobian q = curve.ToJacobian(q_affine);
+  P256::AffineMont q_mont{q.x, q.y};
   P256::Jacobian inf = curve.ToJacobian(EcPoint::Infinity());
+  const uint64_t kFinite = 0;
+  const uint64_t kIdentity = ~0ull;
 
   auto same = [&](const P256::Jacobian& a, const P256::Jacobian& b) {
     EXPECT_EQ(curve.FromJacobian(a), curve.FromJacobian(b));
   };
   // Generic addition.
-  same(curve.JacAddCt(p, q), curve.JacAdd(p, q));
-  // Doubling, both via JacDoubleCt and via the masked patch in JacAddCt.
+  same(curve.JacAddAffineCt(p, q_mont, kFinite), curve.JacAdd(p, q));
   same(curve.JacDoubleCt(p), curve.JacDouble(p));
-  same(curve.JacAddCt(p, p), curve.JacDouble(p));
-  // Same point under different Jacobian representations (scaled coords) must
-  // still hit the doubling patch.
-  P256::Jacobian p_scaled = p;
-  U256 lambda = curve.field().ToMont(U256::FromU64(3));
-  U256 lambda2 = curve.field().MontSqr(lambda);
-  p_scaled.x = curve.field().MontMul(p.x, lambda2);
-  p_scaled.y = curve.field().MontMul(p.y, curve.field().MontMul(lambda2, lambda));
-  p_scaled.z = curve.field().MontMul(p.z, lambda);
-  same(curve.JacAddCt(p, p_scaled), curve.JacDouble(p));
-  // p + (-p) is the identity.
-  P256::Jacobian neg_p = p;
-  neg_p.y = curve.field().Neg(neg_p.y);
-  EXPECT_TRUE(curve.FromJacobian(curve.JacAddCt(p, neg_p)).infinity);
-  // Identity operands.
-  same(curve.JacAddCt(p, inf), p);
-  same(curve.JacAddCt(inf, q), q);
-  EXPECT_TRUE(curve.FromJacobian(curve.JacAddCt(inf, inf)).infinity);
+  // p + (-p) is the identity without any patch (h == 0 gives z3 == 0),
+  // also when p carries a non-trivial z.
+  EcPoint p_affine = curve.FromJacobian(p);
+  P256::Jacobian neg = curve.ToJacobian(curve.Negate(p_affine));
+  EXPECT_TRUE(curve.FromJacobian(curve.JacAddAffineCt(p, {neg.x, neg.y}, kFinite)).infinity);
+  // Identity operands, by mask: an identity p selects q, an identity q
+  // selects p, whatever coordinates the identity q carries.
+  same(curve.JacAddAffineCt(inf, q_mont, kFinite), q);
+  same(curve.JacAddAffineCt(p, q_mont, kIdentity), p);
+  same(curve.JacAddAffineCt(p, {U256::Zero(), U256::Zero()}, kIdentity), p);
+  EXPECT_TRUE(curve.FromJacobian(curve.JacAddAffineCt(inf, q_mont, kIdentity)).infinity);
   EXPECT_TRUE(curve.FromJacobian(curve.JacDoubleCt(inf)).infinity);
 }
 
@@ -220,27 +230,14 @@ TEST(CtScalarMultTest, EdgeScalarsMatchReference) {
   EcPoint random_base = curve.BaseMult(rng.RandomScalar(curve.order()));
   for (const EcPoint& base : {curve.generator(), random_base}) {
     for (const U256& k : CtEdgeScalars()) {
-      EcPoint ct_result = curve.FromJacobianCt(
-          curve.JacScalarMultSecret(curve.ToJacobian(base), Secret<U256>(k)));
-      EXPECT_EQ(ct_result, ReferenceMult(base, k)) << "scalar " << k.ToHex();
+      EXPECT_EQ(curve.ScalarMultSecret(base, Secret<U256>(k)), ReferenceMult(base, k))
+          << "scalar " << k.ToHex();
     }
   }
   // Identity in, identity out; k = 0 and k = n are the identity.
   EXPECT_TRUE(curve.ScalarMultSecret(EcPoint::Infinity(), Secret<U256>(U256::FromU64(7))).infinity);
   EXPECT_TRUE(curve.ScalarMultSecret(curve.generator(), Secret<U256>(U256::Zero())).infinity);
   EXPECT_TRUE(curve.ScalarMultSecret(curve.generator(), Secret<U256>(curve.order())).infinity);
-}
-
-TEST(CtScalarMultTest, OneThousandRandomScalarsMatchReference) {
-  const P256& curve = P256::Get();
-  SecureRandom rng(ToBytes("ct-ladder-1k"));
-  EcPoint base = curve.BaseMult(rng.RandomScalar(curve.order()));
-  P256::Jacobian base_jac = curve.ToJacobian(base);
-  for (int i = 0; i < 1000; ++i) {
-    U256 k = rng.RandomScalar(curve.order());
-    EcPoint ct_result = curve.FromJacobianCt(curve.JacScalarMultSecret(base_jac, Secret<U256>(k)));
-    ASSERT_EQ(ct_result, ReferenceMult(base, k)) << "scalar " << k.ToHex();
-  }
 }
 
 TEST(CtScalarMultTest, BaseMultSecretMatchesBaseMult) {
@@ -255,20 +252,26 @@ TEST(CtScalarMultTest, BaseMultSecretMatchesBaseMult) {
   }
 }
 
-TEST(CtScalarMultTest, FromJacobianCtMatchesFromJacobian) {
+TEST(CtScalarMultTest, BatchNormalizeCtMatchesBatchNormalize) {
   const P256& curve = P256::Get();
   SecureRandom rng(ToBytes("ct-fromjac"));
+  std::vector<P256::Jacobian> points;
   for (int i = 0; i < 50; ++i) {
-    P256::Jacobian p = curve.JacBaseMult(rng.RandomScalar(curve.order()));
-    // Scale to a non-trivial z.
-    U256 lambda = curve.field().ToMont(rng.RandomScalar(curve.field().modulus()));
-    U256 lambda2 = curve.field().MontSqr(lambda);
-    p.x = curve.field().MontMul(p.x, lambda2);
-    p.y = curve.field().MontMul(p.y, curve.field().MontMul(lambda2, lambda));
-    p.z = curve.field().MontMul(p.z, lambda);
-    ASSERT_EQ(curve.FromJacobianCt(p), curve.FromJacobian(p));
+    points.push_back(Rescale(curve.JacBaseMult(rng.RandomScalar(curve.order())),
+                             rng.RandomScalar(curve.field().modulus())));
+    if (i % 7 == 3) {
+      points.push_back(curve.ToJacobian(EcPoint::Infinity()));
+    }
   }
-  EXPECT_TRUE(curve.FromJacobianCt(curve.ToJacobian(EcPoint::Infinity())).infinity);
+  std::vector<EcPoint> ct_points = curve.BatchNormalizeCt(points);
+  std::vector<EcPoint> vt_points = curve.BatchNormalize(points);
+  ASSERT_EQ(ct_points.size(), points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    ASSERT_EQ(ct_points[i], vt_points[i]) << "index " << i;
+    ASSERT_EQ(ct_points[i], curve.FromJacobian(points[i])) << "index " << i;
+  }
+  EXPECT_TRUE(curve.BatchNormalizeCt({}).empty());
+  EXPECT_TRUE(curve.BatchNormalizeCt({curve.ToJacobian(EcPoint::Infinity())})[0].infinity);
 }
 
 // ------------------------------------------------- end-to-end secret paths
@@ -330,6 +333,15 @@ TEST(CtEndToEndTest, ElGamalDecryptRoundTripsThroughCtLane) {
   EXPECT_TRUE(ElGamalDecrypt(recipient.private_key,
                              ElGamalCiphertext{EcPoint::Infinity(), EcPoint::Infinity()})
                   .infinity);
+  // c2 = -x*c1 makes the final c2 - x*c1 a doubling (message -2rH), and
+  // c2 = x*c1 makes it the identity; an encoder that knows r can build both.
+  const P256& curve = P256::Get();
+  U256 r = rng.RandomScalar(curve.order());
+  EcPoint c1 = curve.BaseMult(r);
+  EcPoint shared = curve.ScalarMult(recipient.public_key, r);
+  EXPECT_EQ(ElGamalDecrypt(recipient.private_key, ElGamalCiphertext{c1, curve.Negate(shared)}),
+            curve.Double(curve.Negate(shared)));
+  EXPECT_TRUE(ElGamalDecrypt(recipient.private_key, ElGamalCiphertext{c1, shared}).infinity);
 }
 
 }  // namespace

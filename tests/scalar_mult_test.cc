@@ -1,6 +1,6 @@
 // Cross-checks for the variable-base wNAF scalar multiplication and the
-// batched variable-base surface that PR 3 rewired the shuffler's ECDH opens
-// onto.  Everything is checked against JacScalarMultReference — the plain
+// batched constant-time lane (BatchScalarMultSecret) that every long-term-key
+// open runs on.  Everything is checked against JacScalarMultReference — the plain
 // left-to-right double-and-add ladder kept precisely so these tests have an
 // obviously-correct baseline — over edge scalars (0, 1, 2, n-1, n, n+1,
 // 2^255) and bulk random scalars, plus the identity-point edges through the
@@ -69,63 +69,150 @@ TEST(WnafScalarMultTest, OneThousandRandomScalarsMatchDoubleAdd) {
   }
 }
 
-TEST(BatchScalarMultTest, MatchesDoubleAddIncludingEdges) {
+// ------------------------------------------- batched constant-time lane
+
+// Affine results of the batched ct lane for one scalar over `points`.
+std::vector<EcPoint> LaneMult(const std::vector<EcPoint>& points, const U256& scalar) {
+  const P256& curve = P256::Get();
+  std::vector<P256::Jacobian> jacs = curve.BatchScalarMultSecret(points, Secret<U256>(scalar));
+  EXPECT_EQ(jacs.size(), points.size());
+  return curve.BatchNormalize(jacs);
+}
+
+// Edge scalars for the signed 4-bit recode: the EdgeScalars() set plus
+// n-2, powers of two on and off window boundaries, scalars whose middle
+// windows are all zero, all-8 windows (the largest digit with no carry),
+// all-9 windows (every window carries), and 2^256-1 (reduced once).
+std::vector<U256> LaneEdgeScalars() {
+  const P256& curve = P256::Get();
+  std::vector<U256> out = EdgeScalars();
+  U256 n_minus_2;
+  SubWithBorrow(curve.order(), U256::FromU64(2), &n_minus_2);
+  out.push_back(n_minus_2);
+  for (int bit : {3, 4, 63, 64, 128, 252, 254}) {
+    U256 pow;
+    pow.limbs[bit / 64] = 1ull << (bit % 64);
+    out.push_back(pow);
+  }
+  U256 sparse;  // nonzero bottom and top windows only
+  sparse.limbs[0] = 0x9;
+  sparse.limbs[3] = 0x7ull << 60;
+  out.push_back(sparse);
+  out.push_back(U256::FromHex("8888888888888888888888888888888888888888888888888888888888888888"));
+  out.push_back(U256::FromHex("9999999999999999999999999999999999999999999999999999999999999999"));
+  out.push_back(U256::FromHex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"));
+  return out;
+}
+
+// Checks one lane batch of `size` points drawn from `pool` (starting at
+// `offset`), with the identity interleaved at every 7th slot from slot 3,
+// against the double-and-add reference.
+void CheckLaneBatch(const std::vector<EcPoint>& pool, size_t size, size_t offset,
+                    const U256& k) {
+  std::vector<EcPoint> points;
+  for (size_t j = 0; j < size; ++j) {
+    points.push_back(j % 7 == 3 ? EcPoint::Infinity() : pool[(offset + j) % pool.size()]);
+  }
+  std::vector<EcPoint> lane = LaneMult(points, k);
+  ASSERT_EQ(lane.size(), size);
+  for (size_t j = 0; j < size; ++j) {
+    ASSERT_EQ(lane[j], ReferenceMult(points[j], k))
+        << "scalar " << k.ToHex() << " batch " << size << " slot " << j;
+  }
+}
+
+std::vector<EcPoint> RandomPoints(SecureRandom& rng, size_t n) {
+  const P256& curve = P256::Get();
+  std::vector<EcPoint> out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(curve.BaseMult(rng.RandomScalar(curve.order())));
+  }
+  return out;
+}
+
+constexpr size_t kLaneBatchSizes[] = {1, 2, 63, 64, 65, 256};
+
+TEST(BatchScalarMultSecretTest, BitIdenticalToReferenceAtEveryBatchSize) {
+  const P256& curve = P256::Get();
+  SecureRandom rng(ToBytes("ct-lane-sizes"));
+  std::vector<EcPoint> pool = RandomPoints(rng, 256);
+  pool[0] = curve.generator();
+  // Every edge scalar at every batch size (the chunk edges 63/64/65 and
+  // the shuffler's 256 included).
+  size_t offset = 0;
+  for (const U256& k : LaneEdgeScalars()) {
+    for (size_t size : kLaneBatchSizes) {
+      CheckLaneBatch(pool, size, offset++, k);
+    }
+  }
+  // 1k random scalars: mostly batches of one and two, every 100th at one
+  // of the larger sizes.
+  for (int i = 0; i < 1000; ++i) {
+    U256 k = rng.RandomScalar(curve.order());
+    size_t size = i % 100 == 99 ? kLaneBatchSizes[2 + (i / 100) % 4] : kLaneBatchSizes[i % 2];
+    CheckLaneBatch(pool, size, offset++, k);
+  }
+  // A lone identity point, and the empty batch.
+  EXPECT_TRUE(LaneMult({EcPoint::Infinity()}, U256::FromU64(5))[0].infinity);
+  EXPECT_TRUE(LaneMult({}, U256::FromU64(5)).empty());
+}
+
+TEST(BatchScalarMultSecretTest, MatchesDoubleAddIncludingEdges) {
+  // The edge scalars on a random base, the generator and the identity in
+  // one batch, plus 200 random points.
   const P256& curve = P256::Get();
   SecureRandom rng(ToBytes("batch-var"));
-  std::vector<EcPoint> points;
-  std::vector<U256> scalars;
-  // Edge scalars on a random base, plus the identity point, plus randoms.
-  EcPoint base = curve.BaseMult(rng.RandomScalar(curve.order()));
-  for (const U256& k : EdgeScalars()) {
-    points.push_back(base);
-    scalars.push_back(k);
-  }
+  std::vector<EcPoint> points = RandomPoints(rng, 200);
+  points.push_back(curve.generator());
   points.push_back(EcPoint::Infinity());
-  scalars.push_back(rng.RandomScalar(curve.order()));
-  for (int i = 0; i < 200; ++i) {
-    points.push_back(curve.BaseMult(rng.RandomScalar(curve.order())));
-    scalars.push_back(rng.RandomScalar(curve.order()));
-  }
-  std::vector<EcPoint> batch = curve.BatchScalarMult(points, scalars);
+  U256 k = rng.RandomScalar(curve.order());
+  std::vector<EcPoint> batch = LaneMult(points, k);
   ASSERT_EQ(batch.size(), points.size());
   for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(batch[i], ReferenceMult(points[i], scalars[i])) << "index " << i;
+    EXPECT_EQ(batch[i], ReferenceMult(points[i], k)) << "index " << i;
+  }
+  EcPoint base = points[0];
+  for (const U256& edge : EdgeScalars()) {
+    EXPECT_EQ(LaneMult({base, base}, edge)[1], ReferenceMult(base, edge))
+        << "scalar " << edge.ToHex();
   }
 }
 
-TEST(BatchScalarMultTest, RepeatedScalarReusesDigitsCorrectly) {
-  // The decrypt shape: one private scalar against many points (exercises the
-  // recode-once path), interleaved with distinct scalars.
+TEST(BatchScalarMultSecretTest, ConsecutiveBatchesKeepTheirOwnScalar) {
+  // The decrypt shape run back to back: one scalar over a batch, then a
+  // different scalar over the same points, then the first again.  Each
+  // call recodes its own scalar; nothing carries over between batches.
   const P256& curve = P256::Get();
   SecureRandom rng(ToBytes("batch-repeat"));
+  std::vector<EcPoint> points = RandomPoints(rng, 60);
   U256 x = rng.RandomScalar(curve.order());
-  std::vector<EcPoint> points;
-  std::vector<U256> scalars;
-  for (int i = 0; i < 60; ++i) {
-    points.push_back(curve.BaseMult(rng.RandomScalar(curve.order())));
-    scalars.push_back(i % 5 == 3 ? rng.RandomScalar(curve.order()) : x);
-  }
-  std::vector<EcPoint> batch = curve.BatchScalarMult(points, scalars);
-  for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(batch[i], ReferenceMult(points[i], scalars[i])) << "index " << i;
+  U256 y = rng.RandomScalar(curve.order());
+  for (const U256& k : {x, y, x}) {
+    std::vector<EcPoint> batch = LaneMult(points, k);
+    for (size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(batch[i], ReferenceMult(points[i], k)) << "index " << i;
+    }
   }
 }
 
-TEST(BatchScalarMultTest, JacVariantMatchesAffineVariant) {
+TEST(BatchScalarMultSecretTest, CtNormalizeMatchesVariableTimeNormalize) {
+  // The lane's Jacobian output normalizes the same on the ct path
+  // (BatchNormalizeCt, Fermat inverse) as on the variable-time one, and
+  // ScalarMultSecret (a batch of one) agrees with the batch.
   const P256& curve = P256::Get();
   SecureRandom rng(ToBytes("batch-jac"));
-  std::vector<EcPoint> points;
-  std::vector<U256> scalars;
-  for (int i = 0; i < 50; ++i) {
-    points.push_back(curve.BaseMult(rng.RandomScalar(curve.order())));
-    scalars.push_back(rng.RandomScalar(curve.order()));
+  std::vector<EcPoint> points = RandomPoints(rng, 50);
+  points[17] = EcPoint::Infinity();
+  Secret<U256> k = rng.RandomSecretScalar(curve.order());
+  std::vector<P256::Jacobian> jacs = curve.BatchScalarMultSecret(points, k);
+  std::vector<EcPoint> via_ct = curve.BatchNormalizeCt(jacs);
+  std::vector<EcPoint> via_vt = curve.BatchNormalize(jacs);
+  ASSERT_EQ(via_ct.size(), via_vt.size());
+  for (size_t i = 0; i < via_ct.size(); ++i) {
+    EXPECT_EQ(via_ct[i], via_vt[i]) << "index " << i;
+    EXPECT_EQ(via_ct[i], curve.ScalarMultSecret(points[i], k)) << "index " << i;
   }
-  std::vector<EcPoint> affine = curve.BatchScalarMult(points, scalars);
-  std::vector<EcPoint> via_jac = curve.BatchNormalize(curve.BatchScalarMultJac(points, scalars));
-  EXPECT_EQ(affine.size(), via_jac.size());
-  for (size_t i = 0; i < affine.size(); ++i) {
-    EXPECT_EQ(affine[i], via_jac[i]);
-  }
+  EXPECT_TRUE(via_ct[17].infinity);
 }
 
 TEST(EcdhBatchTest, MatchesSingleEcdhIncludingIdentityPeer) {

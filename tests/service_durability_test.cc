@@ -1239,6 +1239,89 @@ TEST(ServiceDurabilityTest, CompactionBoundsJournalGrowth) {
   EXPECT_TRUE(recovery.value().live[0].sparse.empty());
 }
 
+// The WAL's checkpoint hook reads the bound registry, which lives in a
+// FrameServer.  When the server goes first, the hook must go with it: a
+// checkpoint that then carries the journal past the compaction threshold
+// must neither touch the dead registry (ASan flags it otherwise) nor
+// compact from it.  Binding a new registry re-arms compaction.
+TEST(ServiceDurabilityTest, CheckpointAfterTheBoundServerIsGoneIsClean) {
+  ScratchDir dir("durability-unbound-hook");
+  FrontendConfig config = DurabilityFrontendConfig(dir.path);
+  config.fsync_spool = false;
+  const uint64_t threshold = SessionJournal::kCompactThresholdBytes;
+  const uint64_t commits = threshold / 40;  // ~47-byte records: past the threshold
+  ShufflerFrontend frontend(config);
+  ASSERT_TRUE(frontend.Start().ok());
+  auto unused_sink = [](Bytes, ReportContext, std::function<void(const Status&)> done) {
+    done(Error{"unused"});
+  };
+  // Claims, logs and commits (session, seq) against `registry`, the way
+  // a connection does.
+  auto commit = [&](AckRegistry& registry, uint64_t session, uint64_t seq) {
+    ASSERT_EQ(registry.TryClaim(session, seq), Claim::kNew);
+    Bytes report = SyntheticReport(session, seq);
+    const size_t shard = ShardedIngest::ShardOfReport(report, frontend.num_shards());
+    ASSERT_TRUE(frontend
+                    .AcceptRoutedReportAsync(shard, std::move(report),
+                                             ReportContext{session, seq},
+                                             [&registry, session, seq](const Status& status) {
+                                               if (status.ok()) {
+                                                 registry.Commit(session, seq);
+                                               } else {
+                                                 registry.Release(session, seq);
+                                               }
+                                             })
+                    .ok());
+  };
+  {
+    auto server = std::make_unique<FrameServer>(unused_sink);
+    ASSERT_TRUE(frontend.BindAckRegistry(&server->registry()).ok());
+    for (uint64_t s = 0; s < commits; ++s) {
+      commit(server->registry(), 3, s);
+    }
+    ASSERT_TRUE(frontend.BarrierIngest().ok());
+    // No checkpoint yet: every commit record is still in the WAL.
+    EXPECT_EQ(frontend.session_journal()->appended_bytes(), 0u);
+  }  // the server and its registry are gone
+  ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
+  // The write-through crossed the threshold, and nothing compacted.
+  EXPECT_GE(frontend.session_journal()->appended_bytes(), threshold);
+
+  // A registry bound now takes over the hook: its commits' checkpoint
+  // compacts.  A second, earlier-bound server that stops afterwards must
+  // not unhook the newer binding.
+  auto first = std::make_unique<FrameServer>(unused_sink);
+  FrameServer second(unused_sink);
+  ASSERT_TRUE(frontend.BindAckRegistry(&first->registry()).ok());
+  ASSERT_TRUE(frontend.BindAckRegistry(&second.registry()).ok());
+  ASSERT_TRUE(first->Shutdown().ok());
+  first.reset();
+  commit(second.registry(), 4, 0);
+  ASSERT_TRUE(frontend.BarrierIngest().ok());
+  ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
+  EXPECT_LT(frontend.session_journal()->appended_bytes(), threshold);
+
+  // Stopping the bound server unhooks it.
+  ASSERT_TRUE(second.Shutdown().ok());
+  ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
+}
+
+// The other order: a frontend destroyed while its registry's server is
+// still up must unlink itself, or the server's Shutdown calls back into
+// freed memory.
+TEST(ServiceDurabilityTest, ServerOutlivingItsFrontendStopsCleanly) {
+  ScratchDir dir("durability-frontend-first");
+  FrameServer server([](Bytes, ReportContext, std::function<void(const Status&)> done) {
+    done(Error{"unused"});
+  });
+  {
+    ShufflerFrontend frontend(DurabilityFrontendConfig(dir.path));
+    ASSERT_TRUE(frontend.Start().ok());
+    ASSERT_TRUE(frontend.BindAckRegistry(&server.registry()).ok());
+  }
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
 // --------------------------------- a failed journal rollback heals, not wedges
 
 // A journal append that fails during a checkpoint's write-through, and

@@ -206,10 +206,6 @@ void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch
   auto expected = SerialEpochHistograms(base, waves, serial_dir.path);
   ASSERT_EQ(expected.size(), static_cast<size_t>(kWaves));
 
-  // Every server is kept to the end: the frontend's WAL holds a checkpoint
-  // hook on the registry it was last bound to, so a server must outlive the
-  // frontend it served.
-  std::vector<std::unique_ptr<FrameServer>> servers;
   FrontendConfig config = base;
   config.spool_dir = concurrent_dir.path;
   auto frontend = std::make_unique<ShufflerFrontend>(config);
@@ -223,13 +219,15 @@ void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch
 
   // A server wired the way ShardGroup wires one: reports go through the
   // pool's async sink, and the registry is bound before any connection.
-  auto serve = [&]() -> FrameServer& {
-    servers.push_back(std::make_unique<FrameServer>(
+  // Each wave's server is destroyed at the end of its wave; stopping it
+  // unhooks its registry from the frontend's WAL checkpoints.
+  auto serve = [&]() {
+    auto server = std::make_unique<FrameServer>(
         [&](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
           pool->EnqueueAsync(std::move(report), ctx, std::move(done));
-        }));
-    EXPECT_TRUE(frontend->BindAckRegistry(&servers.back()->registry()).ok());
-    return *servers.back();
+        });
+    EXPECT_TRUE(frontend->BindAckRegistry(&server->registry()).ok());
+    return server;
   };
   // Sends `reports` over one loopback session and waits for every ACK.
   auto deliver = [](FrameServer& server, uint64_t session_id, const std::vector<Bytes>& reports,
@@ -253,7 +251,8 @@ void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch
     // wave.
     const bool crash_this_wave = crash_mid_epoch && wave == 1;
 
-    FrameServer& server = serve();
+    std::unique_ptr<FrameServer> wave_server = serve();
+    FrameServer& server = *wave_server;
     std::vector<std::thread> producers;
     Rng arrival(0xA5 + wave);
     const auto& sealed = waves[wave];
@@ -325,7 +324,8 @@ void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch
       drainer->Start();
 
       // Deliver the second half of the wave into the recovered epoch.
-      FrameServer& resumed_server = serve();
+      std::unique_ptr<FrameServer> resumed = serve();
+      FrameServer& resumed_server = *resumed;
       std::vector<Bytes> rest(sealed.begin() + static_cast<ptrdiff_t>(limit), sealed.end());
       delivered_reports += rest.size();
       deliver(resumed_server, next_session++, rest, 0, 1);

@@ -12,6 +12,11 @@
 // Scenarios (all must be shadow-clean under valgrind/MSan):
 //   ecdh             poisoned long-term scalar -> EcdhSharedSecret
 //   elgamal-decrypt  poisoned private key -> ElGamalDecrypt (ct ladder)
+//   ecdh-batch       poisoned long-term scalar -> EcdhSharedSecretBatch over
+//                    a 65-point chunk with an identity entry (batched ct lane)
+//   elgamal-decrypt-batch
+//                    poisoned private key -> ElGamalDecryptBatch over the
+//                    same chunk shape
 //   gcm-verify       poisoned 16 provided-tag bytes -> AesGcm::Open
 //   hmac-verify      poisoned key and expected MAC -> HmacVerify
 //   all              every scenario above in sequence
@@ -28,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/crypto/ct.h"
 #include "src/crypto/elgamal.h"
@@ -68,6 +74,60 @@ bool ScenarioElGamalDecrypt() {
   ct::PoisonObject(recipient.private_key.ExposeMutable());
   EcPoint opened = ElGamalDecrypt(recipient.private_key, ciphertext);
   return opened == message;
+}
+
+// A 65-point chunk for the batch scenarios: one past the analyzer's 64-box
+// chunk, with the identity at slot 3.  The points are public, so they stay
+// unpoisoned; only the long-term scalar is.
+std::vector<EcPoint> BatchChunkPoints(SecureRandom& rng) {
+  const P256& curve = P256::Get();
+  std::vector<EcPoint> points;
+  for (int i = 0; i < 65; ++i) {
+    points.push_back(i == 3 ? EcPoint::Infinity()
+                            : curve.BaseMult(rng.RandomScalar(curve.order())));
+  }
+  return points;
+}
+
+bool ScenarioEcdhBatch() {
+  SecureRandom rng(ToBytes("ct-harness-ecdh-batch"));
+  KeyPair a = KeyPair::Generate(rng);
+  std::vector<EcPoint> peers = BatchChunkPoints(rng);
+  // The clean copy of the scalar computes the expected values.
+  Secret<U256> clean(a.private_key.Expose());
+  ct::PoisonObject(a.private_key.ExposeMutable());
+  auto poisoned = EcdhSharedSecretBatch(a.private_key, peers);
+  auto expected = EcdhSharedSecretBatch(clean, peers);
+  if (poisoned.size() != peers.size() || poisoned[3].has_value()) {
+    return false;
+  }
+  for (size_t i = 0; i < peers.size(); ++i) {
+    if (poisoned[i].has_value() != expected[i].has_value()) {
+      return false;
+    }
+    // ct:declassify(harness-side agreement check on the finished shared secrets)
+    if (poisoned[i].has_value() && !(poisoned[i]->Declassify() == expected[i]->Declassify())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool ScenarioElGamalDecryptBatch() {
+  SecureRandom rng(ToBytes("ct-harness-elgamal-batch"));
+  KeyPair recipient = KeyPair::Generate(rng);
+  std::vector<EcPoint> c1s = BatchChunkPoints(rng);
+  // Ciphertexts (c1, M) with arbitrary c1: decrypt yields M - x*c1, which
+  // the clean run computes independently.  The identity c1 decrypts to M.
+  std::vector<ElGamalCiphertext> cts;
+  for (size_t i = 0; i < c1s.size(); ++i) {
+    cts.push_back(ElGamalCiphertext{c1s[i], HashToCurve("ct-harness-msg-" + std::to_string(i))});
+  }
+  Secret<U256> clean(recipient.private_key.Expose());
+  ct::PoisonObject(recipient.private_key.ExposeMutable());
+  std::vector<EcPoint> opened = ElGamalDecryptBatch(recipient.private_key, cts);
+  std::vector<EcPoint> expected = ElGamalDecryptBatch(clean, cts);
+  return opened == expected && opened[3] == cts[3].c2;
 }
 
 bool ScenarioGcmVerify() {
@@ -139,6 +199,8 @@ int Run(const std::string& scenario, const std::string& inject) {
   static const Entry kScenarios[] = {
       {"ecdh", &ScenarioEcdh},
       {"elgamal-decrypt", &ScenarioElGamalDecrypt},
+      {"ecdh-batch", &ScenarioEcdhBatch},
+      {"elgamal-decrypt-batch", &ScenarioElGamalDecryptBatch},
       {"gcm-verify", &ScenarioGcmVerify},
       {"hmac-verify", &ScenarioHmacVerify},
   };
@@ -176,7 +238,8 @@ int main(int argc, char** argv) {
   }
   if (scenario.empty() && inject.empty()) {
     std::fprintf(stderr,
-                 "usage: ct_harness <ecdh|elgamal-decrypt|gcm-verify|hmac-verify|all>"
+                 "usage: ct_harness <ecdh|elgamal-decrypt|ecdh-batch|elgamal-decrypt-batch|"
+                 "gcm-verify|hmac-verify|all>"
                  " [--inject=branch|index|tag-memcmp]\n");
     return 2;
   }
